@@ -14,7 +14,7 @@ from .ambiguity import (
 )
 from .arw import OrientedGraph, check_local_diamond, check_termination, newman_verdict
 from .coeff import Coefficient, FieldDescriptor, RATIONALS
-from .freealg import Alphabet, Occurrence, Polynomial, Word, poly_combine
+from .freealg import Alphabet, Occurrence, Polynomial, Word
 from .order import CompatibilityReport, OrderingSpec, check_compatibility, deglex_compare
 from .quotient import IndependenceVerdict, QuotientRing, independence_check
 from .rewrite import (
@@ -25,7 +25,6 @@ from .rewrite import (
     apply_reduction,
     is_irreducible,
     normal_form,
-    reducible_sites,
     validate_system,
 )
 from .syntax import format_polynomial, parse_polynomial, parse_word

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from .coeff import Coefficient
 from .freealg import Polynomial, Word
 from .order import LT, CompatibilityReport, OrderingSpec, check_compatibility, deglex_compare
-from .rewrite import (
-    IncompatibleSystemError,
-    ReductionSystem,
-    normal_form,
-    require_valid,
-)
+from .rewrite import ReductionSystem, normal_form, require_compatible
 
 OVERLAP = "overlap"
 INCLUSION = "inclusion"
@@ -178,9 +173,7 @@ def check_resolvable_relative(amb: Ambiguity, system: ReductionSystem,
                               spec: OrderingSpec) -> RelativeVerdict:
     """Decide membership of the branch difference in the span of all
     B'(W - f)C' with B' W C' strictly below the ambiguity word."""
-    report = check_compatibility(system, spec)
-    if not report.compatible:
-        raise IncompatibleSystemError("relative check needs a compatible ordering")
+    require_compatible(system, spec)
     left, right = _branches(amb, system)
     diff = left - right
     if diff.is_zero():
@@ -188,7 +181,6 @@ def check_resolvable_relative(amb: Ambiguity, system: ReductionSystem,
     d = amb.word
     triples = []
     columns = []
-    one = Word(system.alphabet, ())
     for idx, rule in enumerate(system.rules):
         slack = d.degree() - rule.lhs.degree()
         if slack < 0:
@@ -231,7 +223,6 @@ def check_all(system: ReductionSystem, spec: OrderingSpec,
     With cross_check=True the relative criterion is evaluated on every
     ambiguity as well and required to agree.
     """
-    require_valid(system)
     compat = check_compatibility(system, spec)
     if not compat.compatible:
         return ConfluenceReport(compat, ())

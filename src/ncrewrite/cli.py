@@ -25,7 +25,7 @@ from .ambiguity import (
 from .arw import newman_verdict, parse_graph
 from .coeff import FieldDescriptor
 from .freealg import Alphabet, Polynomial
-from .order import OrderingSpec, check_compatibility
+from .order import OrderingSpec
 from .quotient import QuotientRing, independence_check
 from .rewrite import (
     BudgetExceededError,
@@ -36,11 +36,14 @@ from .rewrite import (
     all_normal_forms,
     format_trace,
     normal_form,
-    validate_system,
 )
 from .syntax import ExpressionError, format_polynomial, parse_polynomial, parse_word
 
 BUDGET_ENV_VAR = "NCREWRITE_ORACLE_BUDGET"
+
+
+class UsageError(Exception):
+    """A bad option or environment value that argparse does not check."""
 
 
 class PresentationError(Exception):
@@ -170,12 +173,7 @@ def _emit(data: dict, human: str, fmt: str):
 
 def _load_presentation(path: str) -> Presentation:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    p = parse_presentation(text)
-    fatal = [d for d in validate_system(p.system) if d.fatal]
-    if fatal:
-        raise PresentationError(0, "; ".join(d.message for d in fatal))
-    return p
+        return parse_presentation(fh.read())
 
 
 def _parse_expr(text: str, p: Presentation) -> Polynomial:
@@ -234,6 +232,8 @@ def cmd_member(p: Presentation, args) -> int:
 
 
 def cmd_basis(p: Presentation, args) -> int:
+    if args.max_degree < 0:
+        raise UsageError(f"--max-degree must be >= 0, not {args.max_degree}")
     ring = QuotientRing.build(p.system, p.ordering)
     words = ring.basis_words(args.max_degree)
     _emit({"basis": [str(w) for w in words]},
@@ -253,7 +253,10 @@ def cmd_ambiguities(p: Presentation, args) -> int:
 def cmd_oracle(p: Presentation, args) -> int:
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_ORACLE_BUDGET))
+        text = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_ORACLE_BUDGET))
+        if not text.isdecimal():
+            raise UsageError(f"{BUDGET_ENV_VAR} must be an integer >= 0, not {text!r}")
+        budget = int(text)
     forms = all_normal_forms(_parse_expr(args.expr, p), p.system, budget)
     rendered = sorted(format_polynomial(f, p.ordering) for f in forms)
     _emit({"normal_forms": rendered}, "\n".join(rendered), args.format)
@@ -355,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; ours is 3
+        return 3 if exc.code == 2 else exc.code
     try:
         if args.command == "graph":
             return cmd_graph(args)
@@ -378,7 +384,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (PresentationError, ExpressionError, OSError) as exc:
+    except (PresentationError, ExpressionError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # engine-level refusals (non-confluent ring, ...)

@@ -221,7 +221,3 @@ class Polynomial:
         from .syntax import format_polynomial
         return format_polynomial(self)
 
-
-def poly_combine(alpha: Coefficient, a: Polynomial, b: Polynomial) -> Polynomial:
-    """alpha * a + b with zero coefficients stripped."""
-    return a.scale(alpha) + b

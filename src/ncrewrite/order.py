@@ -28,16 +28,19 @@ class OrderingSpec:
     def __post_init__(self):
         if sorted(self.precedence) != sorted(self.alphabet.symbols):
             raise OrderingError("precedence must be a permutation of the alphabet")
-
-    def rank(self, letter_index: int) -> int:
-        return self.precedence.index(self.alphabet.symbols[letter_index])
+        object.__setattr__(self, "_ranks", tuple(  # rank of each letter index
+            self.precedence.index(s) for s in self.alphabet.symbols))
 
     def sort_key(self, word: Word):
         """Total-order key: ascending deglex."""
         if word.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
-        ranks = tuple(self.rank(i) for i in word.letters)
-        return (word.degree(), ranks)
+        return self.letters_key(word.letters)
+
+    def letters_key(self, letters: tuple[int, ...]):
+        """sort_key of the word with these letter indices."""
+        weights, ranks = self.alphabet.weights, self._ranks
+        return (sum(weights[i] for i in letters), tuple(ranks[i] for i in letters))
 
 
 def deglex_compare(u: Word, v: Word, spec: OrderingSpec) -> int:

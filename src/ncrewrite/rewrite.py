@@ -2,18 +2,21 @@
 
 A single reduction at site (A, sigma, B) subtracts
 lambda * A * (W_sigma - f_sigma) * B, where lambda is the coefficient of
-A * W_sigma * B in the polynomial.  Under an order compatible with the
-system, the deterministic strategy in normal_form always terminates.
+A * W_sigma * B in the polynomial.  Systems are validated on construction;
+one kernel on raw {letters: value} dicts finds sites and applies the step
+for apply_reduction, normal_form, is_irreducible and the oracle.  Under an
+order compatible with the system, normal_form's strategy always terminates.
 all_normal_forms ignores the order and explores every reduction sequence,
-which is the ground truth for reduction-uniqueness at desk scale.
+the ground truth for reduction-uniqueness at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .coeff import Coefficient, FieldDescriptor
-from .freealg import Alphabet, Occurrence, Polynomial, Word
+from .freealg import Alphabet, FreeAlgebraError, Occurrence, Polynomial, Word
 from .order import OrderingSpec, check_compatibility
 
 
@@ -46,75 +49,100 @@ class Rule:
 
 @dataclass(frozen=True)
 class ReductionSystem:
+    """Rules W_sigma -> f_sigma over one alphabet and field; validated on construction."""
+
     alphabet: Alphabet
     field: FieldDescriptor
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        for rule in self.rules:
-            if rule.lhs.alphabet != self.alphabet or rule.rhs.alphabet != self.alphabet:
-                raise InvalidSystemError("rule over a different alphabet")
-            if rule.rhs.field != self.field:
-                raise InvalidSystemError("rule over a different field")
+        validate_system(self)
+        object.__setattr__(self, "_compatible", set())  # specs require_compatible passed
+        # the kernel's form of each rule: (lhs letters, ((letters, value), ...))
+        object.__setattr__(self, "_compiled", tuple(
+            (r.lhs.letters, tuple((w.letters, c.value) for w, c in r.rhs.items()))
+            for r in self.rules))
 
     def replace_rules(self, rules) -> "ReductionSystem":
         return ReductionSystem(self.alphabet, self.field, tuple(rules))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    fatal: bool
-    rule: int
-    message: str
-
-
-def validate_system(system: ReductionSystem) -> list[Diagnostic]:
-    """Fatal on empty left sides; warnings for inclusion-ambiguity sources."""
-    out = []
+def validate_system(system: ReductionSystem) -> None:
+    """Raise InvalidSystemError on a rule over another alphabet or field or with lhs 1."""
     for i, rule in enumerate(system.rules):
+        if (rule.lhs.alphabet, rule.rhs.alphabet, rule.rhs.field) != (
+                system.alphabet, system.alphabet, system.field):
+            raise InvalidSystemError(f"rule {i} over another alphabet or field")
         if rule.lhs.is_one():
-            out.append(Diagnostic(True, i, "empty rule left side"))
-    lhss = [r.lhs for r in system.rules]
-    for i, w in enumerate(lhss):
-        for j in range(i):
-            if lhss[j] == w:
-                out.append(Diagnostic(False, i, f"duplicate left side with rule {j}"))
-        for j, v in enumerate(lhss):
-            if j != i and w != v and not v.is_one() and w.contains(v):
-                out.append(Diagnostic(
-                    False, i, f"left side properly contains left side of rule {j}"))
-    return out
+            raise InvalidSystemError(f"rule {i} has an empty left side")
 
 
-def require_valid(system: ReductionSystem):
-    fatal = [d for d in validate_system(system) if d.fatal]
-    if fatal:
-        raise InvalidSystemError("; ".join(d.message for d in fatal))
+def require_compatible(system: ReductionSystem, spec: OrderingSpec) -> None:
+    """Raise IncompatibleSystemError unless every rule decreases under spec;
+    a pass is remembered on the system, so each order is checked once."""
+    if spec in system._compatible:
+        return
+    report = check_compatibility(system, spec)
+    if not report.compatible:
+        raise IncompatibleSystemError(
+            f"system not compatible with the ordering: {report.violations}")
+    system._compatible.add(spec)
+
+
+def _terms(a: Polynomial, system: ReductionSystem) -> dict:
+    if (a.alphabet, a.field) != (system.alphabet, system.field):
+        raise FreeAlgebraError("polynomial over another alphabet or field than the system")
+    return {w.letters: c.value for w, c in a.items()}
+
+
+def _polynomial(terms: dict, system: ReductionSystem) -> Polynomial:
+    field, alphabet = system.field, system.alphabet
+    return Polynomial(field, alphabet, {Word(alphabet, w): Coefficient(field, c)
+                                        for w, c in terms.items()})
+
+
+def _sites(word: tuple, rules):
+    """Sites (len(A), rule index) in word: leftmost first, then lowest rule index."""
+    for i in range(len(word)):
+        for idx, (lhs, _) in enumerate(rules):
+            if word[i:i + len(lhs)] == lhs:
+                yield i, idx
+
+
+def _reduce(terms: dict, system: ReductionSystem, word: tuple, i: int, idx: int):
+    """terms -= lambda * A (W - f) B in place at site (i, idx) of word = A W B;
+    returns lambda = terms[word] and the words A z B (z in f) added to terms."""
+    lhs, rhs = system._compiled[idx]
+    modulus = system.field.modulus
+    lam = terms.pop(word)
+    prefix, suffix = word[:i], word[i + len(lhs):]
+    added = []
+    for z, c in rhs:
+        t = prefix + z + suffix
+        if t not in terms:
+            added.append(t)
+        v = terms.get(t, 0) + lam * c
+        if modulus:
+            v %= modulus
+        if v:
+            terms[t] = v
+        else:
+            del terms[t]
+    return lam, added
 
 
 def apply_reduction(a: Polynomial, system: ReductionSystem, occ: Occurrence) -> Polynomial:
     """a - lambda * A (W_sigma - f_sigma) B; the identity when lambda = 0."""
-    rule = system.rules[occ.rule]
-    target = occ.prefix * rule.lhs * occ.suffix
-    lam = a.coefficient(target)
-    if not lam:
+    target = (occ.prefix * system.rules[occ.rule].lhs * occ.suffix).letters
+    terms = _terms(a, system)
+    if target not in terms:
         return a
-    replaced = rule.rhs.sandwich(occ.prefix, occ.suffix)
-    return a - Polynomial.monomial(target, lam) + replaced.scale(lam)
-
-
-def reducible_sites(a: Polynomial, system: ReductionSystem) -> list[Occurrence]:
-    """All sites acting nontrivially on a, in a deterministic order."""
-    sites = []
-    for word in sorted(a.words(), key=lambda w: (len(w), w.letters)):
-        for idx, rule in enumerate(system.rules):
-            for prefix, suffix in word.occurrences_of(rule.lhs):
-                sites.append(Occurrence(prefix, idx, suffix))
-    return sites
+    _reduce(terms, system, target, len(occ.prefix), occ.rule)
+    return _polynomial(terms, system)
 
 
 def is_irreducible(a: Polynomial, system: ReductionSystem) -> bool:
-    return not reducible_sites(a, system)
+    return all(next(_sites(w, system._compiled), None) is None for w in _terms(a, system))
 
 
 @dataclass(frozen=True)
@@ -134,38 +162,36 @@ def normal_form(a: Polynomial, system: ReductionSystem,
     """Deterministic full reduction.
 
     Strategy: reduce the deglex-largest reducible monomial, at its leftmost
-    site, with the lowest-indexed rule there.  Refuses systems the order is
-    not compatible with, since termination is then unguaranteed.
+    site, with the lowest-indexed rule there.  A compatible order puts every
+    reduct below the monomial it replaces, so monomials come from a heap,
+    largest first.  Refuses systems the order is not compatible with, since
+    termination is then unguaranteed.
     """
-    require_valid(system)
-    report = check_compatibility(system, spec)
-    if not report.compatible:
-        raise IncompatibleSystemError(
-            f"system not compatible with the ordering: {report.violations}")
+    def descending(word):
+        # negated ranks sort in reverse: no word prefixes another of equal degree
+        degree, ranks = spec.letters_key(word)
+        return -degree, tuple(-r for r in ranks), word
+
+    require_compatible(system, spec)
+    terms = _terms(a, system)
+    rules = system._compiled
+    heap = [descending(w) for w in terms]
+    heapify(heap)
     trace = []
-    current = a
-    while True:
-        best = None  # (word key desc handled by outer max, len(A), rule index)
-        target_word = None
-        for word in current.words():
-            for idx, rule in enumerate(system.rules):
-                occs = word.occurrences_of(rule.lhs)
-                if not occs:
-                    continue
-                key = spec.sort_key(word)
-                for prefix, suffix in occs:
-                    cand = (key, -len(prefix), -idx)
-                    if best is None or cand > best:
-                        # max key; ties prefer shortest prefix then lowest rule
-                        best = cand
-                        target_word = Occurrence(prefix, idx, suffix)
-        if target_word is None:
-            return NormalFormResult(current, tuple(trace))
-        occ = target_word
-        lam = current.coefficient(
-            occ.prefix * system.rules[occ.rule].lhs * occ.suffix)
-        trace.append(ReductionStep(occ, lam))
-        current = apply_reduction(current, system, occ)
+    while heap:
+        word = heappop(heap)[2]
+        site = next(_sites(word, rules), None) if word in terms else None
+        if site is None:
+            continue
+        i, idx = site
+        lam, added = _reduce(terms, system, word, i, idx)
+        trace.append(ReductionStep(Occurrence(
+            Word(system.alphabet, word[:i]), idx,
+            Word(system.alphabet, word[i + len(rules[idx][0]):])),
+            Coefficient(system.field, lam)))
+        for t in added:
+            heappush(heap, descending(t))
+    return NormalFormResult(_polynomial(terms, system), tuple(trace))
 
 
 def all_normal_forms(a: Polynomial, system: ReductionSystem,
@@ -173,39 +199,21 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
     """Every irreducible polynomial reachable from a by any reduction sequence.
 
     Memoizes on visited polynomials; raises BudgetExceededError when more
-    than ``budget`` distinct states would be visited.  Works on raw
-    coefficient values internally: the state space of this search is the
-    bottleneck of the whole package.
+    than ``budget`` distinct states would be visited.
     """
-    modulus = system.field.modulus
-    rules = [(r.lhs.letters,
-              tuple((w.letters, c.value) for w, c in r.rhs.items()))
-             for r in system.rules]
-    start = {w.letters: c.value for w, c in a.items()}
+    rules = system._compiled
+    start = _terms(a, system)
     seen = {frozenset(start.items())}
     stack = [start]
     normals = []
     while stack:
         state = stack.pop()
         successors = []
-        for word, coeff in state.items():
-            n = len(word)
-            for lhs, rhs in rules:
-                m = len(lhs)
-                for i in range(n - m + 1):
-                    if word[i:i + m] == lhs:
-                        new = dict(state)
-                        del new[word]
-                        for rw, rc in rhs:
-                            t = word[:i] + rw + word[i + m:]
-                            v = new.get(t, 0) + coeff * rc
-                            if modulus:
-                                v %= modulus
-                            if v:
-                                new[t] = v
-                            else:
-                                new.pop(t, None)
-                        successors.append(new)
+        for word in state:
+            for i, idx in _sites(word, rules):
+                new = dict(state)
+                _reduce(new, system, word, i, idx)
+                successors.append(new)
         if not successors:
             normals.append(state)
             continue
@@ -216,11 +224,7 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
                     raise BudgetExceededError(len(seen))
                 seen.add(key)
                 stack.append(q)
-    field, alphabet = system.field, system.alphabet
-    return {Polynomial(field, alphabet,
-                       {Word(alphabet, w): Coefficient(field, c)
-                        for w, c in state.items()})
-            for state in normals}
+    return {_polynomial(state, system) for state in normals}
 
 
 def format_trace(trace) -> str:

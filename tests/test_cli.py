@@ -154,6 +154,29 @@ def test_oracle_budget_env_var(capsys, monkeypatch):
     assert code == 4
 
 
+def test_oracle_budget_env_var_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("NCREWRITE_ORACLE_BUDGET", "abc")
+    code, _, err = run(capsys, "oracle", pres("weyl.pres"), "y*x")
+    assert code == 3
+    assert err.startswith("error:") and "NCREWRITE_ORACLE_BUDGET" in err
+
+
+def test_basis_negative_degree_is_usage_error(capsys):
+    code, out, err = run(capsys, "basis", pres("weyl.pres"), "--max-degree", "-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "--max-degree" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["no-such-command"], 3),
+    (["check"], 3),
+    (["--help"], 0),
+    (["nf", "--help"], 0),
+])
+def test_argparse_exit_codes(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
 def test_simplify_command(capsys):
     code, out, _ = run(capsys, "simplify", pres("dup_lhs.pres"))
     assert code == 0
