@@ -2,10 +2,13 @@
 
 Exit codes (stable):
   0  success (for ``check``: confluent)
-  1  negative verdict (not confluent / inclusion not certified)
+  1  negative verdict (not confluent / inclusion not certified; the
+     quotient ring refuses a system that is not confluent)
   2  system incompatible with the ordering
-  3  usage, syntax or validation error
+  3  usage, syntax or validation error (also a malformed graph file)
   4  oracle budget exhausted
+  5  internal error: a fault in ncrewrite, not a verdict; the traceback
+     is printed to standard error
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .ambiguity import (
@@ -22,11 +26,11 @@ from .ambiguity import (
     enumerate_overlaps,
     simplify_system,
 )
-from .arw import newman_verdict, parse_graph
-from .coeff import FieldDescriptor
-from .freealg import Alphabet, Polynomial
+from .arw import GraphError, newman_verdict, parse_graph
+from .coeff import CoefficientError, FieldDescriptor
+from .freealg import Alphabet, FreeAlgebraError, Polynomial
 from .order import OrderingSpec
-from .quotient import QuotientRing, independence_check
+from .quotient import QuotientError, QuotientRing, independence_check
 from .rewrite import (
     BudgetExceededError,
     DEFAULT_ORACLE_BUDGET,
@@ -40,10 +44,14 @@ from .rewrite import (
 from .syntax import ExpressionError, format_polynomial, parse_polynomial, parse_word
 
 BUDGET_ENV_VAR = "NCREWRITE_ORACLE_BUDGET"
+# what a word or polynomial in user input can raise: bad syntax, an unknown
+# generator, a denominator divisible by p, an integer literal too long to convert
+_EXPRESSION_ERRORS = (ExpressionError, FreeAlgebraError, CoefficientError, ValueError)
 
 
 class UsageError(Exception):
-    """A bad option or environment value that argparse does not check."""
+    """Bad input that argparse does not check: an option, an environment
+    value or a graph file."""
 
 
 class PresentationError(Exception):
@@ -87,7 +95,7 @@ def parse_presentation(text: str) -> Presentation:
             elif len(parts) == 2 and parts[0] == "F" and parts[1].isdigit():
                 try:
                     field = FieldDescriptor(int(parts[1]))
-                except Exception as exc:
+                except (ValueError, CoefficientError) as exc:
                     raise PresentationError(lineno, str(exc)) from None
             else:
                 raise PresentationError(lineno, f"bad field {rest!r}")
@@ -127,7 +135,7 @@ def parse_presentation(text: str) -> Presentation:
         try:
             lhs = parse_word(lhs_text, alphabet)
             rhs = parse_polynomial(rhs_text, field, alphabet)
-        except Exception as exc:
+        except _EXPRESSION_ERRORS as exc:
             raise PresentationError(lineno, str(exc)) from None
         if lhs.is_one():
             raise PresentationError(lineno, "empty rule left side")
@@ -177,7 +185,10 @@ def _load_presentation(path: str) -> Presentation:
 
 
 def _parse_expr(text: str, p: Presentation) -> Polynomial:
-    return parse_polynomial(text, p.field, p.alphabet)
+    try:
+        return parse_polynomial(text, p.field, p.alphabet)
+    except _EXPRESSION_ERRORS as exc:
+        raise ExpressionError(str(exc)) from None
 
 
 def cmd_check(p: Presentation, args) -> int:
@@ -297,7 +308,11 @@ def cmd_independent(p: Presentation, args) -> int:
 
 def cmd_graph(args) -> int:
     with open(args.edge_file, encoding="utf-8") as fh:
-        graph = parse_graph(fh.read())
+        text = fh.read()
+    try:
+        graph = parse_graph(text)
+    except GraphError as exc:  # newman_verdict's GraphError would be a fault
+        raise UsageError(str(exc)) from None
     verdict = newman_verdict(graph)
     if verdict.ok:
         data = {"ok": True,
@@ -388,9 +403,12 @@ def main(argv=None) -> int:
     except (PresentationError, ExpressionError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # engine-level refusals (non-confluent ring, ...)
+    except QuotientError as exc:  # the ring refuses: not confluent, not a subsystem
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:  # a fault must not read as a negative verdict
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

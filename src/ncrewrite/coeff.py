@@ -22,17 +22,36 @@ class ZeroInversionError(CoefficientError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    # trial division; moduli are desk-scale
+    """Deterministic Miller-Rabin; raises CoefficientError at or above
+    PRIMALITY_BOUND, where the fixed bases no longer decide primality."""
+    if n >= PRIMALITY_BOUND:
+        raise CoefficientError(
+            f"modulus {n} is too large: primality is decided only below {PRIMALITY_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

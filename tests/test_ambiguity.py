@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,9 @@ from ncrewrite.ambiguity import (
     simplify_system,
 )
 from ncrewrite.cli import parse_presentation
-from ncrewrite.coeff import RATIONALS
-from ncrewrite.freealg import Polynomial, Word
+from ncrewrite.coeff import FieldDescriptor, RATIONALS
+from ncrewrite.freealg import Alphabet, Polynomial, Word
+from ncrewrite.order import LT, OrderingSpec, deglex_compare
 from ncrewrite.rewrite import ReductionSystem, Rule, all_normal_forms
 from ncrewrite.syntax import parse_polynomial
 
@@ -160,6 +162,123 @@ def test_plain_and_relative_agree(fixture, request):
         plain = check_resolvable(amb, p.system, p.ordering).resolvable
         assert check_resolvable_relative(
             amb, p.system, p.ordering).resolvable == plain
+
+
+def dense_solve(columns: list[Polynomial], target: Polynomial, field):
+    """Solve sum x_j * columns[j] = target by dense Gauss-Jordan elimination
+    over Coefficient objects; None if inconsistent.  The slow reference."""
+    words = set(target.words())
+    for col in columns:
+        words.update(col.words())
+    rows = sorted(words, key=lambda w: (len(w), w.letters))
+    index = {w: i for i, w in enumerate(rows)}
+    zero = field.zero()
+    matrix = [[zero] * len(columns) + [zero] for _ in rows]
+    for j, col in enumerate(columns):
+        for w, c in col.items():
+            matrix[index[w]][j] = c
+    for w, c in target.items():
+        matrix[index[w]][len(columns)] = c
+    pivots = []
+    r = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(r, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = matrix[r][j].inv()
+        matrix[r] = [x * inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][j]:
+                factor = matrix[i][j]
+                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[r])]
+        pivots.append(j)
+        r += 1
+    for i in range(r, len(matrix)):
+        if matrix[i][len(columns)]:
+            return None
+    solution = [zero] * len(columns)
+    for i, j in enumerate(pivots):
+        solution[j] = matrix[i][len(columns)]
+    return solution
+
+
+def dense_resolvable_relative(amb, system, spec) -> bool:
+    """The relative check on Word/Polynomial objects: every B(W - f)C with
+    deg BWC <= deg D and BWC < D as a column, solved by dense_solve."""
+    verdict = check_resolvable(amb, system, spec)
+    d = amb.word
+    columns = []
+    for rule in system.rules:
+        slack = d.degree() - rule.lhs.degree()
+        gen = Polynomial.monomial(rule.lhs, system.field.one()) - rule.rhs
+        for b in system.alphabet.words_up_to_degree(slack):
+            for c in system.alphabet.words_up_to_degree(slack - b.degree()):
+                if deglex_compare(b * rule.lhs * c, d, spec) == LT:
+                    columns.append(gen.sandwich(b, c))
+    diff = verdict.branch_left - verdict.branch_right
+    return dense_solve(columns, diff, system.field) is not None
+
+
+def _random_system(rng, field, coefficients):
+    """2-3 letters (weights 1 or 2), 1-4 rules, each right side a combination
+    of at most two words below its left side, so spec is compatible."""
+    n = rng.randint(2, 3)
+    alphabet = Alphabet(tuple("abc"[:n]), tuple(rng.choice((1, 1, 1, 2))
+                                                for _ in range(n)))
+    spec = OrderingSpec(alphabet, alphabet.symbols)
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        lhs = Word(alphabet, tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))))
+        below = [w for w in alphabet.words_up_to_degree(lhs.degree())
+                 if deglex_compare(w, lhs, spec) == LT]
+        rhs = Polynomial(field, alphabet, {
+            w: field.coeff(rng.choice(coefficients))
+            for w in rng.sample(below, min(len(below), rng.randint(0, 2)))})
+        rules.append(Rule(lhs, rhs))
+    return ReductionSystem(alphabet, field, tuple(rules)), spec
+
+
+@pytest.mark.parametrize("field,coefficients", [
+    (RATIONALS, (1, -1, 2, 3)),
+    (FieldDescriptor(7), (1, 2, 3, 4, 5, 6)),
+    (RATIONALS, (1, -1, Fraction(3, 2), Fraction(-1, 2))),
+])
+def test_relative_matches_dense_reference(field, coefficients):
+    rng = random.Random(str(field) + str(coefficients))
+    verdicts = set()
+    for _ in range(40):
+        system, spec = _random_system(rng, field, coefficients)
+        for amb in enumerate_overlaps(system) + enumerate_inclusions(system):
+            if amb.word.degree() > 4:  # keeps the dense reference fast
+                continue
+            rel = check_resolvable_relative(amb, system, spec)
+            assert rel.resolvable == dense_resolvable_relative(amb, system, spec)
+            if rel.resolvable:
+                verdict = check_resolvable(amb, system, spec)
+                assert rel.expand(system) == verdict.branch_left - verdict.branch_right
+            verdicts.add(rel.resolvable)
+    assert verdicts == {True, False}
+
+
+def test_relative_fractional_coefficients():
+    p = parse_presentation("field Q\ngenerators x < y < z\nrule y*x -> 3/2*x*y\n"
+                           "rule z*x -> x*z\nrule z*y -> -1/2*y*z\n")
+    amb, = enumerate_overlaps(p.system)
+    rel = check_resolvable_relative(amb, p.system, p.ordering)
+    assert rel.resolvable == dense_resolvable_relative(amb, p.system, p.ordering)
+    verdict = check_resolvable(amb, p.system, p.ordering)
+    assert rel.expand(p.system) == verdict.branch_left - verdict.branch_right
+
+
+def test_check_all_cross_check_commuting8():
+    names = [f"x{i}" for i in range(8)]
+    p = parse_presentation("field Q\ngenerators " + " < ".join(names) + "\n" + "".join(
+        f"rule {names[j]}*{names[i]} -> {names[i]}*{names[j]}\n"
+        for j in range(8) for i in range(j)))
+    report = check_all(p.system, p.ordering, cross_check=True)
+    assert len(report.verdicts) == 56
+    assert report.relative_agrees is True
 
 
 def test_check_all_weyl(weyl):

@@ -1,14 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncrewrite.cli import (
+    Presentation,
     PresentationError,
     format_presentation,
     main,
     parse_presentation,
 )
 from ncrewrite.coeff import FieldDescriptor
+from ncrewrite.freealg import Alphabet, Polynomial, Word
+from ncrewrite.order import OrderingSpec
+from ncrewrite.rewrite import ReductionSystem, Rule
+from ncrewrite.syntax import format_polynomial, parse_polynomial
 
 from conftest import PRESENTATIONS
 
@@ -81,6 +87,42 @@ def test_presentation_roundtrip(name):
     p = parse_presentation(text)
     again = parse_presentation(format_presentation(p))
     assert again == p
+
+
+@st.composite
+def presentations(draw):
+    """Q or F 7, 1-3 generators with names of 1-3 characters and weights
+    1-3, up to 3 rules with random right sides."""
+    field = draw(st.sampled_from([FieldDescriptor(), FieldDescriptor(7)]))
+    names = tuple(draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,2}", fullmatch=True),
+                                min_size=1, max_size=3, unique=True)))
+    weights = tuple(draw(st.integers(1, 3)) for _ in names)
+    alphabet = Alphabet(names, weights)
+    words = st.lists(st.integers(0, len(names) - 1), max_size=3).map(
+        lambda letters: Word(alphabet, tuple(letters)))
+    values = (st.fractions(min_value=-50, max_value=50, max_denominator=8)
+              if field.is_rationals else st.integers(0, 6))
+    polynomials = st.lists(st.tuples(words, values), max_size=4).map(
+        lambda terms: sum((Polynomial.monomial(w, field.coeff(c)) for w, c in terms),
+                          Polynomial.zero(field, alphabet)))
+    rules = draw(st.lists(st.tuples(words.filter(lambda w: not w.is_one()), polynomials),
+                          max_size=3))
+    system = ReductionSystem(alphabet, field, tuple(Rule(w, f) for w, f in rules))
+    p = Presentation(field, alphabet, OrderingSpec(alphabet, names), system)
+    return p, draw(polynomials)
+
+
+@given(presentations())
+def test_polynomial_format_parse_roundtrip(case):
+    p, poly = case
+    for spec in (p.ordering, None):
+        assert parse_polynomial(format_polynomial(poly, spec), p.field, p.alphabet) == poly
+
+
+@given(presentations())
+def test_presentation_format_parse_roundtrip(case):
+    p, _ = case
+    assert parse_presentation(format_presentation(p)) == p
 
 
 def test_check_exit_codes(capsys):
@@ -209,6 +251,51 @@ def test_structured_output(capsys):
     assert data["verdict"] == "confluent"
     assert data["ambiguities"][0]["D"] == "h*f*e"
     assert data["ambiguities"][0]["resolvable"] is True
+
+
+def test_huge_modulus_exit_code(capsys, tmp_path):
+    big = tmp_path / "big.pres"
+    big.write_text("field F 10000000000000000000000013\ngenerators x\n")
+    code, _, err = run(capsys, "check", str(big))
+    assert code == 3
+    assert err.startswith("error: line 1:") and "3317044064679887385961981" in err
+
+
+def test_ring_refusal_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "mul", pres("dup_lhs.pres"), "a", "b")
+    assert code == 1
+    assert "not confluent" in err
+    subset = tmp_path / "subset.pres"
+    subset.write_text("field Q\ngenerators x < y\nrule y -> x\n")
+    code, _, err = run(capsys, "independent", pres("weyl.pres"), str(subset))
+    assert code == 1
+    assert "must occur in the full system" in err
+
+
+@pytest.mark.parametrize("expr", ["q*x", "1/7", "9" * 5000])
+def test_bad_expression_exit_code(capsys, tmp_path, expr):
+    f7 = tmp_path / "f7.pres"
+    f7.write_text("field F 7\ngenerators x\n")
+    code, _, err = run(capsys, "nf", str(f7), expr)
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_malformed_graph_exit_code(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("a -> b\n -> c\n")
+    code, out, err = run(capsys, "graph", str(bad))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 2:")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def fault(*args):
+        raise RuntimeError("injected fault")
+    monkeypatch.setattr("ncrewrite.cli.normal_form", fault)
+    code, out, err = run(capsys, "nf", pres("weyl.pres"), "y*x")
+    assert (code, out) == (5, "")
+    assert "Traceback" in err and "RuntimeError: injected fault" in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from ncrewrite.coeff import (
     CoefficientError,
     FieldDescriptor,
     FieldMismatchError,
+    PRIMALITY_BOUND,
     RATIONALS,
     ZeroInversionError,
+    _is_prime,
 )
 
 F7 = FieldDescriptor(7)
@@ -62,6 +65,28 @@ def test_nonprime_modulus_rejected():
         FieldDescriptor(6)
     with pytest.raises(CoefficientError):
         FieldDescriptor(1)
+
+
+def test_primality_matches_trial_division():
+    for n in range(3000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1)))
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    assert FieldDescriptor(10**18 + 3).modulus == 10**18 + 3
+    assert time.perf_counter() - start < 0.5  # trial division did not finish
+
+
+@pytest.mark.parametrize("carmichael", [561, 41041])
+def test_carmichael_modulus_rejected(carmichael):
+    with pytest.raises(CoefficientError, match="not prime"):
+        FieldDescriptor(carmichael)
+
+
+def test_modulus_beyond_primality_bound_rejected():
+    with pytest.raises(CoefficientError, match=str(PRIMALITY_BOUND)):
+        FieldDescriptor(10**25 + 13)
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
