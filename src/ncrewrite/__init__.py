@@ -5,6 +5,7 @@ from .ambiguity import (
     Ambiguity,
     AmbiguityVerdict,
     ConfluenceReport,
+    ambiguities,
     check_all,
     check_resolvable,
     check_resolvable_relative,

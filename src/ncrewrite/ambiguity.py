@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .coeff import Coefficient
 from .freealg import Polynomial, Word
-from .order import CompatibilityReport, OrderingSpec, check_compatibility
-from .rewrite import ReductionSystem, _add_scaled, _terms, normal_form, require_compatible
+from .order import CompatibilityReport, OrderingSpec
+from .rewrite import ReductionSystem, _add_scaled, _sites, _terms, compatibility
+from .rewrite import normal_form, require_compatible
 
 OVERLAP = "overlap"
 INCLUSION = "inclusion"
@@ -60,21 +61,25 @@ def enumerate_overlaps(system: ReductionSystem) -> list[Ambiguity]:
 
 
 def enumerate_inclusions(system: ReductionSystem) -> list[Ambiguity]:
-    """All occurrences of one rule's lhs inside another's, sigma != tau.
+    """All occurrences of one rule's lhs inside another's, sigma != tau,
+    ordered by sigma, then tau, then position.
 
     Equal left sides yield a single ambiguity per unordered pair (the
     mirrored tuple carries no extra information).
     """
-    out = []
-    for s, rs in enumerate(system.rules):
-        for t, rt in enumerate(system.rules):
-            if s == t:
-                continue
-            if rs.lhs == rt.lhs and s > t:
-                continue
-            for prefix, suffix in rt.lhs.occurrences_of(rs.lhs):
-                out.append(Ambiguity(INCLUSION, s, t, prefix, rs.lhs, suffix))
-    return out
+    rules, alphabet = system._compiled, system.alphabet
+    found = sorted((s, t, i) for t, (wt, _) in enumerate(rules)
+                   for i, s in _sites(wt, rules)
+                   if s != t and not (s > t and rules[s][0] == wt))
+    return [Ambiguity(INCLUSION, s, t, Word(alphabet, rules[t][0][:i]),
+                      system.rules[s].lhs,
+                      Word(alphabet, rules[t][0][i + len(rules[s][0]):]))
+            for s, t, i in found]
+
+
+def ambiguities(system: ReductionSystem) -> list[Ambiguity]:
+    """Every overlap ambiguity, then every inclusion ambiguity."""
+    return enumerate_overlaps(system) + enumerate_inclusions(system)
 
 
 @dataclass(frozen=True)
@@ -133,20 +138,6 @@ class RelativeVerdict:
         return total
 
 
-def _words_by_degree(spec: OrderingSpec, max_degree: int) -> list[list[tuple]]:
-    """(letters, ranks) of every word, grouped by weighted degree 0..max_degree."""
-    weights, alphabet = spec.alphabet.weights, range(len(spec.alphabet.symbols))
-    out = [[] for _ in range(max_degree + 1)]
-    out[0].append(((), ()))
-    for degree in range(max_degree + 1):
-        for letters, _ in out[degree]:
-            for i in alphabet:
-                if degree + weights[i] <= max_degree:
-                    word = letters + (i,)
-                    out[degree + weights[i]].append((word, spec.letters_key(word)[1]))
-    return out
-
-
 def _columns(d: tuple, system: ReductionSystem, spec: OrderingSpec):
     """Every (B, rule, C) with BWC < D and its column B(W - f)C.
 
@@ -160,8 +151,11 @@ def _columns(d: tuple, system: ReductionSystem, spec: OrderingSpec):
     rules = [(spec.letters_key(lhs),
               [(spec.letters_key(z), -v % modulus if modulus else -v) for z, v in rhs])
              for lhs, rhs in system._compiled]
-    by_degree = _words_by_degree(
-        spec, max([key_d[0] - dw for (dw, _), _ in rules] + [0]))
+    max_slack = max([key_d[0] - dw for (dw, _), _ in rules] + [0])
+    by_degree = [[] for _ in range(max_slack + 1)]  # (letters, ranks) by degree
+    for word in system.alphabet.words_up_to_degree(max_slack):
+        degree, ranks = spec.letters_key(word.letters)
+        by_degree[degree].append((word.letters, ranks))
     triples, columns = [], []
     for idx, ((dw, rw), rhs) in enumerate(rules):
         slack = key_d[0] - dw
@@ -263,11 +257,10 @@ def check_all(system: ReductionSystem, spec: OrderingSpec,
     With cross_check=True the relative criterion is evaluated on every
     ambiguity as well and required to agree.
     """
-    compat = check_compatibility(system, spec)
+    compat = compatibility(system, spec)
     if not compat.compatible:
         return ConfluenceReport(compat, ())
-    ambiguities = enumerate_overlaps(system) + enumerate_inclusions(system)
-    verdicts = tuple(check_resolvable(amb, system, spec) for amb in ambiguities)
+    verdicts = tuple(check_resolvable(amb, system, spec) for amb in ambiguities(system))
     agrees = None
     if cross_check:
         agrees = all(
@@ -280,12 +273,12 @@ def check_all(system: ReductionSystem, spec: OrderingSpec,
 def simplify_system(system: ReductionSystem) -> ReductionSystem:
     """Inclusion-free subsystem: drop rules whose lhs properly contains
     another rule's lhs, then keep only the first rule per left side."""
-    lhss = [r.lhs for r in system.rules]
-    kept = []
-    for i, rule in enumerate(system.rules):
-        if any(v != rule.lhs and rule.lhs.contains(v) for v in lhss):
+    rules = system._compiled
+    kept, seen = [], set()
+    for rule, (lhs, _) in zip(system.rules, rules):
+        # a site of another left side inside lhs is proper unless it spans lhs
+        if lhs in seen or any(len(rules[j][0]) < len(lhs) for _, j in _sites(lhs, rules)):
             continue
-        if any(k.lhs == rule.lhs for k in kept):
-            continue
+        seen.add(lhs)
         kept.append(rule)
-    return system.replace_rules(kept)
+    return ReductionSystem(system.alphabet, system.field, tuple(kept))

@@ -20,12 +20,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 
-from .ambiguity import (
-    check_all,
-    enumerate_inclusions,
-    enumerate_overlaps,
-    simplify_system,
-)
+from .ambiguity import ambiguities, check_all, simplify_system
 from .arw import GraphError, newman_verdict, parse_graph
 from .coeff import CoefficientError, FieldDescriptor
 from .freealg import Alphabet, FreeAlgebraError, Polynomial
@@ -78,7 +73,7 @@ def parse_presentation(text: str) -> Presentation:
     """
     field = None
     names: list[str] | None = None
-    weights: dict[str, int] = {}
+    weights: dict[str, tuple[int, int]] = {}  # name -> (weight, line)
     rule_lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -109,9 +104,13 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationError(lineno, "duplicate generator")
         elif head == "weight":
             parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            try:  # int() also refuses more digits than Python converts
+                weight = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+            except ValueError:
+                weight = 0
+            if weight < 1:
                 raise PresentationError(lineno, f"bad weight directive {rest!r}")
-            weights[parts[0]] = int(parts[1])
+            weights[parts[0]] = (weight, lineno)
         elif head == "rule":
             lhs_text, arrow, rhs_text = rest.partition("->")
             if not arrow or not lhs_text.strip() or not rhs_text.strip():
@@ -124,11 +123,11 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError(0, "missing field directive")
     if names is None:
         raise PresentationError(0, "missing generators directive")
-    for name in weights:
+    for name, (_, lineno) in weights.items():
         if name not in names:
-            raise PresentationError(0, f"weight for unknown generator {name!r}")
+            raise PresentationError(lineno, f"weight for unknown generator {name!r}")
     # alphabet keeps the declaration order; precedence is that same order
-    alphabet = Alphabet(tuple(names), tuple(weights.get(n, 1) for n in names))
+    alphabet = Alphabet(tuple(names), tuple(weights.get(n, (1,))[0] for n in names))
     ordering = OrderingSpec(alphabet, tuple(names))
     rules = []
     for lineno, lhs_text, rhs_text in rule_lines:
@@ -253,7 +252,7 @@ def cmd_basis(p: Presentation, args) -> int:
 
 
 def cmd_ambiguities(p: Presentation, args) -> int:
-    ambs = enumerate_overlaps(p.system) + enumerate_inclusions(p.system)
+    ambs = ambiguities(p.system)
     _emit({"ambiguities": [_ambiguity_dict(a, p) for a in ambs]},
           "\n".join(f"{a.kind} sigma={a.sigma} tau={a.tau} D={a.word}"
                     for a in ambs) or "no ambiguities",

@@ -21,10 +21,6 @@ class AlphabetMismatchError(FreeAlgebraError):
     pass
 
 
-class EmptyPatternError(FreeAlgebraError):
-    pass
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered generator names with positive integer weights (default 1)."""
@@ -91,24 +87,6 @@ class Word:
 
     def is_one(self) -> bool:
         return not self.letters
-
-    def occurrences_of(self, pattern: "Word") -> list[tuple["Word", "Word"]]:
-        """All (A, B) with self = A * pattern * B, by increasing len(A)."""
-        self._check(pattern)
-        if pattern.is_one():
-            raise EmptyPatternError("empty pattern")
-        out = []
-        n, m = len(self.letters), len(pattern.letters)
-        for i in range(n - m + 1):
-            if self.letters[i:i + m] == pattern.letters:
-                out.append((Word(self.alphabet, self.letters[:i]),
-                            Word(self.alphabet, self.letters[i + m:])))
-        return out
-
-    def contains(self, pattern: "Word") -> bool:
-        n, m = len(self.letters), len(pattern.letters)
-        return any(self.letters[i:i + m] == pattern.letters
-                   for i in range(n - m + 1))
 
     def __str__(self):
         if not self.letters:

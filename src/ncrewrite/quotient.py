@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ambiguity import ConfluenceReport, check_all, enumerate_inclusions, enumerate_overlaps
+from .ambiguity import ConfluenceReport, check_all
 from .freealg import Polynomial, Word
-from .order import OrderingSpec, check_compatibility
-from .rewrite import ReductionSystem, is_irreducible, normal_form
+from .order import OrderingSpec
+from .rewrite import ReductionSystem, _sites, is_irreducible, normal_form
 
 
 class QuotientError(Exception):
@@ -51,9 +51,9 @@ class QuotientRing:
     def basis_words(self, max_degree: int) -> list[Word]:
         """Irreducible monomials of weighted degree <= max_degree, in
         ascending deglex order."""
-        lhss = [r.lhs for r in self.system.rules]
+        rules = self.system._compiled
         words = [w for w in self.system.alphabet.words_up_to_degree(max_degree)
-                 if not any(w.contains(lhs) for lhs in lhss)]
+                 if not any(_sites(w.letters, rules))]
         words.sort(key=self.spec.sort_key)
         return words
 
@@ -65,10 +65,6 @@ class IndependenceVerdict:
     independent_rules: tuple[int, ...]  # populated when S2 has no ambiguities
 
 
-def _word_irreducible(word: Word, lhss) -> bool:
-    return not any(word.contains(lhs) for lhs in lhss)
-
-
 def independence_check(s1: ReductionSystem, s2: ReductionSystem,
                        spec: OrderingSpec) -> IndependenceVerdict:
     """Certify strict inclusion of the ideal of s1 in that of s2.
@@ -76,26 +72,21 @@ def independence_check(s1: ReductionSystem, s2: ReductionSystem,
     Requires the rules of s1 to be a subset of those of s2 and s2 to be
     compatible and confluent.  The certificate is a rule of s2 whose left
     side is irreducible with respect to s1.  When s2 has no ambiguities
-    at all, every rule irreducible with respect to the remaining rules is
-    additionally reported as independent of them.
+    at all, no left side contains another, so every rule is irreducible
+    with respect to the remaining rules and is reported as independent of
+    them.
     """
     for rule in s1.rules:
         if rule not in s2.rules:
             raise QuotientError("rules of the subsystem must occur in the full system")
-    if not check_compatibility(s2, spec).compatible:
+    report = check_all(s2, spec)
+    if not report.compatible:
         raise QuotientError("full system must be compatible with the ordering")
-    if not check_all(s2, spec).confluent:
+    if not report.confluent:
         raise QuotientError("full system must be confluent")
 
-    lhss1 = [r.lhs for r in s1.rules]
-    witness = next(
-        (i for i, r in enumerate(s2.rules) if _word_irreducible(r.lhs, lhss1)),
-        None)
-
-    independent: tuple[int, ...] = ()
-    if not enumerate_overlaps(s2) and not enumerate_inclusions(s2):
-        independent = tuple(
-            i for i, r in enumerate(s2.rules)
-            if _word_irreducible(r.lhs,
-                                 [o.lhs for j, o in enumerate(s2.rules) if j != i]))
+    witness = next((i for i, (lhs, _) in enumerate(s2._compiled)
+                    if not any(_sites(lhs, s1._compiled))), None)
+    # a compatible report has one verdict per ambiguity
+    independent = () if report.verdicts else tuple(range(len(s2.rules)))
     return IndependenceVerdict(witness is not None, witness, independent)

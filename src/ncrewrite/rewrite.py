@@ -4,8 +4,10 @@ A single reduction at site (A, sigma, B) subtracts
 lambda * A * (W_sigma - f_sigma) * B, where lambda is the coefficient of
 A * W_sigma * B in the polynomial.  Systems are validated on construction;
 one kernel on raw {letters: value} dicts finds sites and applies the step
-for apply_reduction, normal_form, is_irreducible and the oracle.  Under an
-order compatible with the system, normal_form's strategy always terminates.
+for apply_reduction, normal_form, is_irreducible and the oracle, and the
+ambiguity and quotient modules find left sides with the same site finder.
+Under an order compatible with the system, normal_form's strategy always
+terminates.
 
 all_normal_forms ignores the order and returns every irreducible polynomial
 reachable by any reduction sequence.  It first decides reduction-uniqueness
@@ -26,7 +28,7 @@ from heapq import heapify, heappop, heappush
 
 from .coeff import Coefficient, FieldDescriptor
 from .freealg import Alphabet, FreeAlgebraError, Occurrence, Polynomial, Word
-from .order import OrderingSpec, check_compatibility
+from .order import CompatibilityReport, OrderingSpec, check_compatibility
 
 
 class RewriteError(Exception):
@@ -69,14 +71,11 @@ class ReductionSystem:
 
     def __post_init__(self):
         validate_system(self)
-        object.__setattr__(self, "_compatible", set())  # specs require_compatible passed
+        object.__setattr__(self, "_compatibility", {})  # spec -> CompatibilityReport
         # the kernel's form of each rule: (lhs letters, ((letters, value), ...))
         object.__setattr__(self, "_compiled", tuple(
             (r.lhs.letters, tuple((w.letters, c.value) for w, c in r.rhs.items()))
             for r in self.rules))
-
-    def replace_rules(self, rules) -> "ReductionSystem":
-        return ReductionSystem(self.alphabet, self.field, tuple(rules))
 
 
 def validate_system(system: ReductionSystem) -> None:
@@ -89,16 +88,21 @@ def validate_system(system: ReductionSystem) -> None:
             raise InvalidSystemError(f"rule {i} has an empty left side")
 
 
+def compatibility(system: ReductionSystem, spec: OrderingSpec) -> CompatibilityReport:
+    """check_compatibility(system, spec), remembered on the system, so each
+    order is checked once per system."""
+    report = system._compatibility.get(spec)
+    if report is None:
+        report = system._compatibility[spec] = check_compatibility(system, spec)
+    return report
+
+
 def require_compatible(system: ReductionSystem, spec: OrderingSpec) -> None:
-    """Raise IncompatibleSystemError unless every rule decreases under spec;
-    a pass is remembered on the system, so each order is checked once."""
-    if spec in system._compatible:
-        return
-    report = check_compatibility(system, spec)
+    """Raise IncompatibleSystemError unless every rule decreases under spec."""
+    report = compatibility(system, spec)
     if not report.compatible:
         raise IncompatibleSystemError(
             f"system not compatible with the ordering: {report.violations}")
-    system._compatible.add(spec)
 
 
 def _terms(a: Polynomial, system: ReductionSystem) -> dict:
@@ -114,7 +118,9 @@ def _polynomial(terms: dict, system: ReductionSystem) -> Polynomial:
 
 
 def _sites(word: tuple, rules):
-    """Sites (len(A), rule index) in word: leftmost first, then lowest rule index."""
+    """Sites (len(A), rule index) of a system's _compiled rules in word:
+    leftmost first, then lowest rule index.  The one left-side matcher; a
+    site is a nonempty tuple, so any(_sites(word, rules)) means reducible."""
     for i in range(len(word)):
         for idx, (lhs, _) in enumerate(rules):
             if word[i:i + len(lhs)] == lhs:
@@ -154,7 +160,7 @@ def apply_reduction(a: Polynomial, system: ReductionSystem, occ: Occurrence) -> 
 
 
 def is_irreducible(a: Polynomial, system: ReductionSystem) -> bool:
-    return all(next(_sites(w, system._compiled), None) is None for w in _terms(a, system))
+    return not any(any(_sites(w, system._compiled)) for w in _terms(a, system))
 
 
 @dataclass(frozen=True)

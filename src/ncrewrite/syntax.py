@@ -3,16 +3,22 @@
 Terms look like ``3*x*y*x``, ``-1/2*z`` or ``1``, joined by ``+``/``-``.
 ``^`` raises a factor to a nonnegative integer power and ``*`` is
 mandatory between factors; generator names may be multi-character.
+A power is built directly, after checking that it is not too large.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import FieldDescriptor
 from .freealg import Alphabet, Polynomial, Word
+
+
+MAX_POWER_LETTERS = 10 ** 6
 
 
 class ExpressionError(Exception):
@@ -106,11 +112,29 @@ class _Parser:
             exp_tok = self.next()
             if exp_tok is None or exp_tok.kind != "number":
                 self.fail("expected integer exponent after '^'")
-            power = Polynomial.one(self.field, self.alphabet)
-            for _ in range(int(exp_tok.text)):
-                power = power * base
-            return power
+            return self.power(base, int(exp_tok.text), exp_tok.column)
         return base
+
+    def power(self, base: Polynomial, n: int, column: int) -> Polynomial:
+        """base^n of an atom, which is 0 or one term c*w: c^n * w^n."""
+        if not base:
+            return base if n else Polynomial.one(self.field, self.alphabet)
+        [(word, c)] = base.items()
+        if len(word) * n > MAX_POWER_LETTERS:
+            raise ExpressionError(
+                f"power of {len(word) * n} letters exceeds {MAX_POWER_LETTERS}", column)
+        value, modulus = c.value, self.field.modulus
+        if modulus:
+            value = pow(value, n, modulus)
+        else:  # refuse what str() of the numerator or denominator would
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            size = max(abs(value.numerator), value.denominator)
+            if limit and n * math.log10(size) >= limit:
+                raise ExpressionError(
+                    f"coefficient of the power exceeds {limit} digits", column)
+            value = value ** n
+        return Polynomial.monomial(Word(self.alphabet, word.letters * n),
+                                   self.field.coeff(value))
 
     def parse_atom(self) -> Polynomial:
         tok = self.next()

@@ -37,7 +37,7 @@ from ncrewrite.rewrite import (
 )
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import PRESENTATIONS
+from conftest import PRESENTATIONS, contains
 from test_arw import diamond_completion
 
 
@@ -276,8 +276,8 @@ def test_criterion_9_simplification_suite():
         for _ in range(30):
             word = Word(alphabet, tuple(rng.randrange(2)
                                         for _ in range(rng.randint(0, 6))))
-            if any(word.contains(r.lhs) for r in system.rules):
-                assert any(word.contains(r.lhs) for r in slim.rules)
+            if any(contains(word, r.lhs) for r in system.rules):
+                assert any(contains(word, r.lhs) for r in slim.rules)
     print("\nPASS criterion 9: 50 random systems with injected inclusions "
           "simplify to inclusion-free systems preserving reducibility")
 

@@ -1,7 +1,9 @@
 import json
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncrewrite.cli import (
     Presentation,
@@ -14,7 +16,12 @@ from ncrewrite.coeff import FieldDescriptor
 from ncrewrite.freealg import Alphabet, Polynomial, Word
 from ncrewrite.order import OrderingSpec
 from ncrewrite.rewrite import ReductionSystem, Rule
-from ncrewrite.syntax import format_polynomial, parse_polynomial
+from ncrewrite.syntax import (
+    MAX_POWER_LETTERS,
+    ExpressionError,
+    format_polynomial,
+    parse_polynomial,
+)
 
 from conftest import PRESENTATIONS
 
@@ -272,13 +279,103 @@ def test_ring_refusal_exit_code(capsys, tmp_path):
     assert "must occur in the full system" in err
 
 
-@pytest.mark.parametrize("expr", ["q*x", "1/7", "9" * 5000])
+@pytest.mark.parametrize("expr", ["q*x", "1/7", "9" * 5000, "x^1000001"])
 def test_bad_expression_exit_code(capsys, tmp_path, expr):
     f7 = tmp_path / "f7.pres"
     f7.write_text("field F 7\ngenerators x\n")
     code, _, err = run(capsys, "nf", str(f7), expr)
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("line", ["weight x \u00b2", "weight x " + "9" * 5000,
+                                  "weight q 2", "weight x 0"])
+def test_malformed_weight_exit_code(capsys, tmp_path, line):
+    path = tmp_path / "w.pres"
+    path.write_text(f"field Q\ngenerators x < y\n{line}\nrule y*x -> x*y + 1\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("expr", ["3^9100", "2/7^6000 + x"])
+def test_power_over_digit_limit_exit_code(capsys, expr):
+    # over Q the power is refused before printing it would fail
+    code, out, err = run(capsys, "nf", pres("weyl.pres"), expr)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "digits" in err
+
+
+def test_power_is_built_directly():
+    p = parse_presentation("field Q\ngenerators x < y\n")
+    f7 = FieldDescriptor(7)
+    assert parse_polynomial("2/3^3*y^2*x^0", p.field, p.alphabet) == \
+        parse_polynomial("8/27*y*y", p.field, p.alphabet)
+    assert parse_polynomial("3^5*x^2", f7, p.alphabet) == \
+        parse_polynomial("5*x*x", f7, p.alphabet)
+    assert parse_polynomial("0^0 + 0^2*x + x^0", p.field, p.alphabet) == \
+        parse_polynomial("2", p.field, p.alphabet)
+    start = time.perf_counter()
+    power = parse_polynomial("y^20000", p.field, p.alphabet)
+    assert time.perf_counter() - start < 0.1
+    assert [w.letters for w in power.words()] == [(1,) * 20000]
+
+
+@pytest.mark.parametrize("expr", [f"y^{MAX_POWER_LETTERS + 1}", "7^2000000"])
+def test_power_refused_before_it_is_built(expr):
+    # built, y^1000001 would hold 8 MB of letters and 7^2000000 ~700 kB of digits
+    p = parse_presentation("field Q\ngenerators x < y\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpressionError):
+            parse_polynomial(expr, p.field, p.alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert parse_polynomial(f"y^{MAX_POWER_LETTERS}", p.field, p.alphabet)
+
+
+VALID_PRESENTATION = ["field Q", "generators x < y", "weight y 2", "rule y*x -> x*y + 1"]
+# text within one line: no comment mark, nothing str.splitlines breaks at
+_LINE_TEXT = st.text(max_size=16).map(lambda t: t.replace("#", "")).filter(
+    lambda t: len(("." + t + ".").splitlines()) == 1)
+
+
+def _valid_weight(name, text):
+    parts = text.split()
+    return (name != "q" and len(parts) == 1 and parts[0].isdecimal()
+            and int(parts[0]) >= 1)
+
+
+_MALFORMED_LINES = st.one_of(
+    st.tuples(st.sampled_from(["x", "y", "q"]), _LINE_TEXT)
+    .filter(lambda t: not _valid_weight(*t)).map(lambda t: f"weight {t[0]} {t[1]}"),
+    st.just("weight x " + "9" * 5000),
+    _LINE_TEXT.map(lambda t: "field " + t),        # a second field directive
+    _LINE_TEXT.map(lambda t: "generators " + t),   # a second generators directive
+    _LINE_TEXT.filter(lambda t: "->" not in t).map(lambda t: "rule " + t),
+    # a right side cut short after an operator, possibly behind a huge power
+    st.tuples(st.sampled_from(["y*x", "x", "2*x", "z", "1"]),
+              st.text("xyz0123456789+-*/^ ", max_size=12),
+              st.sampled_from(["^", "*", "+", "/", "^x"]))
+    .map(lambda t: f"rule {t[0]} -> {t[1]}{t[2]}"),
+    st.from_regex(r"[A-Za-z_]{1,10}", fullmatch=True)
+    .filter(lambda h: h not in ("field", "generators", "weight", "rule"))
+    .map(lambda h: h + " x"),
+)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MALFORMED_LINES, st.integers(2, len(VALID_PRESENTATION)))
+def test_malformed_directive_fuzz(capsys, tmp_path, line, at):
+    lines = list(VALID_PRESENTATION)
+    lines.insert(at, line)
+    path = tmp_path / "fuzz.pres"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: line {at + 1}:")
 
 
 def test_malformed_graph_exit_code(capsys, tmp_path):

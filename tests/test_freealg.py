@@ -5,12 +5,14 @@ from ncrewrite.coeff import RATIONALS
 from ncrewrite.freealg import (
     Alphabet,
     AlphabetMismatchError,
-    EmptyPatternError,
     FreeAlgebraError,
     Polynomial,
     Word,
 )
+from ncrewrite.rewrite import InvalidSystemError, ReductionSystem, Rule, _sites
 from ncrewrite.syntax import parse_polynomial
+
+from conftest import EmptyPatternError, occurrences_of
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c", "d"))
@@ -44,28 +46,49 @@ def test_concat_alphabet_mismatch():
         w(XY, "x") * w(ABC, "a")
 
 
+def sites(word, *patterns):
+    """rewrite._sites of patterns, taken as left sides, as (A, index, B)."""
+    rules = [(pattern.letters, ()) for pattern in patterns]
+    return [(Word(word.alphabet, word.letters[:i]), idx,
+             Word(word.alphabet, word.letters[i + len(rules[idx][0]):]))
+            for i, idx in _sites(word.letters, rules)]
+
+
 def test_occurrences_overlapping():
     word = w(XY, "xyxyx")
-    assert word.occurrences_of(w(XY, "xyx")) == [
-        (XY.one(), w(XY, "yx")),
-        (w(XY, "xy"), XY.one()),
+    assert sites(word, w(XY, "xyx")) == [
+        (XY.one(), 0, w(XY, "yx")),
+        (w(XY, "xy"), 0, XY.one()),
+    ]
+    # leftmost site first, then the lowest rule index
+    assert sites(word, w(XY, "x"), w(XY, "xyx")) == [
+        (XY.one(), 0, w(XY, "yxyx")),
+        (XY.one(), 1, w(XY, "yx")),
+        (w(XY, "xy"), 0, w(XY, "yx")),
+        (w(XY, "xy"), 1, XY.one()),
+        (w(XY, "xyxy"), 0, XY.one()),
     ]
 
 
 def test_occurrences_absent():
-    assert w(ABC, "abc").occurrences_of(w(ABC, "d")) == []
+    assert sites(w(ABC, "abc"), w(ABC, "d")) == []
+    assert sites(ABC.one(), w(ABC, "a")) == []
 
 
 def test_occurrences_self_overlap():
-    assert w(ABC, "aaa").occurrences_of(w(ABC, "aa")) == [
-        (ABC.one(), w(ABC, "a")),
-        (w(ABC, "a"), ABC.one()),
+    assert sites(w(ABC, "aaa"), w(ABC, "aa")) == [
+        (ABC.one(), 0, w(ABC, "a")),
+        (w(ABC, "a"), 0, ABC.one()),
     ]
 
 
 def test_empty_pattern_rejected():
+    # _sites is only ever given a system's left sides, and a system refuses
+    # an empty one; the naive reference refuses it too
+    with pytest.raises(InvalidSystemError):
+        ReductionSystem(XY, RATIONALS, (Rule(XY.one(), p("x")),))
     with pytest.raises(EmptyPatternError):
-        w(XY, "xy").occurrences_of(XY.one())
+        occurrences_of(w(XY, "xy"), XY.one())
 
 
 words = st.lists(st.integers(0, 1), max_size=8).map(
@@ -74,18 +97,21 @@ patterns = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(
     lambda ls: Word(XY, tuple(ls)))
 
 
-@given(words, patterns)
-def test_occurrence_count_matches_bruteforce(word, pattern):
-    found = word.occurrences_of(pattern)
-    brute = [
-        i for i in range(len(word.letters) + 1)
-        if word.letters[i:i + len(pattern.letters)] == pattern.letters
-        and i + len(pattern.letters) <= len(word.letters)
-    ]
+@given(words, st.lists(patterns, min_size=1, max_size=3))
+def test_occurrence_count_matches_bruteforce(word, pats):
+    found = sites(word, *pats)
+    naive = sorted((len(prefix), idx, prefix, suffix)
+                   for idx, pattern in enumerate(pats)
+                   for prefix, suffix in occurrences_of(word, pattern))
+    assert found == [(prefix, idx, suffix) for _, idx, prefix, suffix in naive]
+    brute = sorted(
+        (i, idx) for idx, pattern in enumerate(pats)
+        for i in range(len(word.letters) - len(pattern.letters) + 1)
+        if word.letters[i:i + len(pattern.letters)] == pattern.letters)
     assert len(found) == len(brute)
-    for (prefix, suffix), i in zip(found, brute):
-        assert prefix * pattern * suffix == word
-        assert len(prefix.letters) == i
+    for (prefix, idx, suffix), (i, j) in zip(found, brute):
+        assert prefix * pats[idx] * suffix == word
+        assert (len(prefix.letters), idx) == (i, j)
 
 
 def test_combine_cancellation():

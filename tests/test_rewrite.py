@@ -24,7 +24,7 @@ from ncrewrite.rewrite import (
 from ncrewrite.order import OrderingSpec
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import PRESENTATIONS
+from conftest import PRESENTATIONS, occurrences_of
 
 
 def expr(text, p):
@@ -224,7 +224,7 @@ def test_sandwich_property(fixture, request):
         b = Polynomial.monomial(B, p.field.one())
         sites = [Occurrence(prefix, idx, suffix)
                  for idx, rule in enumerate(p.system.rules)
-                 for prefix, suffix in B.occurrences_of(rule.lhs)]
+                 for prefix, suffix in occurrences_of(B, rule.lhs)]
         if not sites:
             continue
         reduced = apply_reduction(b, p.system, rng.choice(sites))
@@ -275,7 +275,7 @@ def naive_normal_form(a, system, spec):
         best = None
         for word in a.words():
             for idx, rule in enumerate(system.rules):
-                for prefix, suffix in word.occurrences_of(rule.lhs):
+                for prefix, suffix in occurrences_of(word, rule.lhs):
                     rank = (spec.sort_key(word), -len(prefix), -idx)
                     if best is None or rank > best[0]:
                         best = (rank, word, Occurrence(prefix, idx, suffix))
@@ -321,7 +321,7 @@ def exhaustive_normal_forms(a, system):
         successors = [apply_reduction(state, system, Occurrence(prefix, idx, suffix))
                       for word in state.words()
                       for idx, rule in enumerate(system.rules)
-                      for prefix, suffix in word.occurrences_of(rule.lhs)]
+                      for prefix, suffix in occurrences_of(word, rule.lhs)]
         if not successors:
             normals.add(state)
         for q in successors:
