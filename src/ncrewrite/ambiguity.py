@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import Coefficient
-from .freealg import Polynomial, Word
+from .freealg import Polynomial, Word, add_scaled
 from .order import CompatibilityReport, OrderingSpec
-from .rewrite import ReductionSystem, _add_scaled, _sites, _terms, compatibility
+from .rewrite import ReductionSystem, _sites, compatibility
 from .rewrite import normal_form, require_compatible
 
 OVERLAP = "overlap"
@@ -195,8 +195,8 @@ def _in_span(columns: list[dict], target: dict, field) -> dict | None:
                 return lead
             pvec, inv, pcombo = pivot
             factor = -vec[lead] * inv
-            _add_scaled(vec, pvec, factor, modulus)
-            _add_scaled(combo, pcombo, factor, modulus)
+            add_scaled(vec, pvec, factor, modulus)
+            add_scaled(combo, pcombo, factor, modulus)
         return None
 
     for j, vec in enumerate(columns):
@@ -220,7 +220,7 @@ def check_resolvable_relative(amb: Ambiguity, system: ReductionSystem,
     values; a positive verdict carries the combination as certificate."""
     require_compatible(system, spec)
     left, right = _branches(amb, system)
-    diff = _terms(left - right, system)
+    diff = (left - right)._terms
     if not diff:
         return RelativeVerdict(True, ())
     triples, columns = _columns(amb.word.letters, system, spec)

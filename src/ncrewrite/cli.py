@@ -287,7 +287,8 @@ def cmd_simplify(p: Presentation, args) -> int:
 def cmd_independent(p: Presentation, args) -> int:
     subset = _load_presentation(args.subset_file)
     if subset.alphabet != p.alphabet or subset.field != p.field:
-        raise PresentationError(0, "subset file must share field and generators")
+        raise UsageError(f"subset file {args.subset_file} must share field and "
+                         f"generators with {args.presentation}")
     verdict = independence_check(subset.system, p.system, p.ordering)
     data = {"strict": verdict.strict, "witness": verdict.witness,
             "independent_rules": list(verdict.independent_rules)}

@@ -1,8 +1,12 @@
 """Words of the free semigroup on an alphabet and sparse polynomials over them.
 
 Words are tuples of letter indices into an Alphabet; the empty word is
-the semigroup identity.  Polynomials map words to nonzero coefficients
-and are immutable values, so they hash and compare structurally.
+the semigroup identity.  A polynomial maps words to nonzero scalars and is
+stored as the reduction kernel's raw {letters: value} dict (Fractions over
+Q, residues in [0, p) over F_p), so the kernel and the arithmetic here share
+one accumulate loop, add_scaled.  Words and Coefficients are built only at
+the API boundary (items, words, coefficient).  Polynomials are immutable
+values, so they hash and compare structurally.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .coeff import Coefficient, FieldDescriptor
+from .coeff import Coefficient, FieldDescriptor, FieldMismatchError
 
 
 class FreeAlgebraError(Exception):
@@ -103,6 +107,21 @@ class Occurrence:
     suffix: Word
 
 
+def add_scaled(into: dict, terms: dict, c, modulus: int | None) -> None:
+    """into += c * terms on raw {key: value} dicts, in place, dropping zero
+    values; reduced mod p over F_p.  The one accumulate loop of ncrewrite."""
+    for u, v in terms.items():
+        v = c * v % modulus if modulus else c * v
+        if u in into:
+            v += into[u]
+            if modulus:
+                v %= modulus
+            if not v:
+                del into[u]
+                continue
+        into[u] = v
+
+
 class Polynomial:
     """Immutable sparse element of the free associative algebra."""
 
@@ -111,12 +130,19 @@ class Polynomial:
     def __init__(self, field: FieldDescriptor, alphabet: Alphabet, terms=None):
         self.field = field
         self.alphabet = alphabet
-        self._terms = {w: c for w, c in dict(terms or {}).items() if c}
+        self._terms = {w.letters: c.value for w, c in dict(terms or {}).items() if c}
         self._hash = None
 
     @classmethod
+    def _raw(cls, field: FieldDescriptor, alphabet: Alphabet, terms: dict) -> "Polynomial":
+        """The polynomial of a raw {letters: nonzero value} dict, which it keeps."""
+        poly = cls(field, alphabet)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, field, alphabet) -> "Polynomial":
-        return cls(field, alphabet)
+        return cls._raw(field, alphabet, {})
 
     @classmethod
     def monomial(cls, word: Word, coeff: Coefficient) -> "Polynomial":
@@ -124,16 +150,19 @@ class Polynomial:
 
     @classmethod
     def one(cls, field, alphabet) -> "Polynomial":
-        return cls(field, alphabet, {Word(alphabet, ()): field.one()})
+        return cls._raw(field, alphabet, {(): field.one().value})
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[Word, Coefficient]]:
+        field, alphabet = self.field, self.alphabet
+        return [(Word(alphabet, w), Coefficient(field, c)) for w, c in self._terms.items()]
 
-    def words(self):
-        return self._terms.keys()
+    def words(self) -> list[Word]:
+        return [Word(self.alphabet, w) for w in self._terms]
 
     def coefficient(self, word: Word) -> Coefficient:
-        return self._terms.get(word, self.field.zero())
+        """The coefficient of word; zero for a word over another alphabet."""
+        value = self._terms.get(word.letters) if word.alphabet == self.alphabet else None
+        return self.field.zero() if value is None else Coefficient(self.field, value)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -150,39 +179,37 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w)
-            terms[w] = c if s is None else s + c
-        return Polynomial(self.field, self.alphabet, terms)
+        add_scaled(terms, other._terms, self.field.one().value, self.field.modulus)
+        return Polynomial._raw(self.field, self.alphabet, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.alphabet,
-                          {w: -c for w, c in self._terms.items()})
+        return self.scale(-self.field.one())
 
     def scale(self, coeff: Coefficient) -> "Polynomial":
-        if not coeff:
-            return Polynomial.zero(self.field, self.alphabet)
-        return Polynomial(self.field, self.alphabet,
-                          {w: coeff * c for w, c in self._terms.items()})
+        if coeff.field != self.field:
+            raise FieldMismatchError(f"{coeff.field} vs {self.field}")
+        terms = {}
+        if coeff:
+            add_scaled(terms, self._terms, coeff.value, self.field.modulus)
+        return Polynomial._raw(self.field, self.alphabet, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        terms: dict[Word, Coefficient] = {}
+        terms, modulus = {}, self.field.modulus
         for u, a in self._terms.items():
-            for v, b in other._terms.items():
-                w = u * v
-                c = a * b
-                s = terms.get(w)
-                terms[w] = c if s is None else s + c
-        return Polynomial(self.field, self.alphabet, terms)
+            add_scaled(terms, {u + v: b for v, b in other._terms.items()}, a, modulus)
+        return Polynomial._raw(self.field, self.alphabet, terms)
 
     def sandwich(self, left: Word, right: Word) -> "Polynomial":
         """left * self * right, cheaper than lifting the words to polynomials."""
-        return Polynomial(self.field, self.alphabet,
-                          {left * w * right: c for w, c in self._terms.items()})
+        if (left.alphabet, right.alphabet) != (self.alphabet, self.alphabet):
+            raise AlphabetMismatchError("words over another alphabet than the polynomial")
+        left, right = left.letters, right.letters
+        return Polynomial._raw(self.field, self.alphabet,
+                               {left + w + right: c for w, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -198,4 +225,3 @@ class Polynomial:
     def __str__(self):
         from .syntax import format_polynomial
         return format_polynomial(self)
-

@@ -2,12 +2,13 @@
 
 A single reduction at site (A, sigma, B) subtracts
 lambda * A * (W_sigma - f_sigma) * B, where lambda is the coefficient of
-A * W_sigma * B in the polynomial.  Systems are validated on construction;
-one kernel on raw {letters: value} dicts finds sites and applies the step
-for apply_reduction, normal_form, is_irreducible and the oracle, and the
-ambiguity and quotient modules find left sides with the same site finder.
-Under an order compatible with the system, normal_form's strategy always
-terminates.
+A * W_sigma * B in the polynomial.  Systems are validated on construction.
+One kernel works on a copy of the raw {letters: value} dict a Polynomial
+stores and wraps its result without converting a term; it finds sites and
+applies the step for apply_reduction, normal_form, is_irreducible and the
+oracle, and the ambiguity and quotient modules find left sides with the
+same site finder.  Under an order compatible with the system,
+normal_form's strategy always terminates.
 
 all_normal_forms ignores the order and returns every irreducible polynomial
 reachable by any reduction sequence.  It first decides reduction-uniqueness
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .coeff import Coefficient, FieldDescriptor
-from .freealg import Alphabet, FreeAlgebraError, Occurrence, Polynomial, Word
+from .freealg import Alphabet, FreeAlgebraError, Occurrence, Polynomial, Word, add_scaled
 from .order import CompatibilityReport, OrderingSpec, check_compatibility
+from .syntax import format_coefficient
 
 
 class RewriteError(Exception):
@@ -74,8 +76,7 @@ class ReductionSystem:
         object.__setattr__(self, "_compatibility", {})  # spec -> CompatibilityReport
         # the kernel's form of each rule: (lhs letters, ((letters, value), ...))
         object.__setattr__(self, "_compiled", tuple(
-            (r.lhs.letters, tuple((w.letters, c.value) for w, c in r.rhs.items()))
-            for r in self.rules))
+            (r.lhs.letters, tuple(r.rhs._terms.items())) for r in self.rules))
 
 
 def validate_system(system: ReductionSystem) -> None:
@@ -106,15 +107,10 @@ def require_compatible(system: ReductionSystem, spec: OrderingSpec) -> None:
 
 
 def _terms(a: Polynomial, system: ReductionSystem) -> dict:
+    """A copy of a's raw {letters: value} terms, for the kernel to mutate."""
     if (a.alphabet, a.field) != (system.alphabet, system.field):
         raise FreeAlgebraError("polynomial over another alphabet or field than the system")
-    return {w.letters: c.value for w, c in a.items()}
-
-
-def _polynomial(terms: dict, system: ReductionSystem) -> Polynomial:
-    field, alphabet = system.field, system.alphabet
-    return Polynomial(field, alphabet, {Word(alphabet, w): Coefficient(field, c)
-                                        for w, c in terms.items()})
+    return dict(a._terms)
 
 
 def _sites(word: tuple, rules):
@@ -131,21 +127,11 @@ def _reduce(terms: dict, system: ReductionSystem, word: tuple, i: int, idx: int)
     """terms -= lambda * A (W - f) B in place at site (i, idx) of word = A W B;
     returns lambda = terms[word] and the words A z B (z in f) added to terms."""
     lhs, rhs = system._compiled[idx]
-    modulus = system.field.modulus
     lam = terms.pop(word)
     prefix, suffix = word[:i], word[i + len(lhs):]
-    added = []
-    for z, c in rhs:
-        t = prefix + z + suffix
-        if t not in terms:
-            added.append(t)
-        v = terms.get(t, 0) + lam * c
-        if modulus:
-            v %= modulus
-        if v:
-            terms[t] = v
-        else:
-            del terms[t]
+    reduct = {prefix + z + suffix: c for z, c in rhs}
+    added = [t for t in reduct if t not in terms]
+    add_scaled(terms, reduct, lam, system.field.modulus)
     return lam, added
 
 
@@ -156,7 +142,7 @@ def apply_reduction(a: Polynomial, system: ReductionSystem, occ: Occurrence) -> 
     if target not in terms:
         return a
     _reduce(terms, system, target, len(occ.prefix), occ.rule)
-    return _polynomial(terms, system)
+    return Polynomial._raw(system.field, system.alphabet, terms)
 
 
 def is_irreducible(a: Polynomial, system: ReductionSystem) -> bool:
@@ -209,21 +195,8 @@ def normal_form(a: Polynomial, system: ReductionSystem,
             Coefficient(system.field, lam)))
         for t in added:
             heappush(heap, descending(t))
-    return NormalFormResult(_polynomial(terms, system), tuple(trace))
-
-
-def _add_scaled(into: dict, terms: dict, c, modulus: int) -> None:
-    """into += c * terms, in place, dropping zero coefficients."""
-    for u, v in terms.items():
-        v = c * v % modulus if modulus else c * v
-        if u in into:
-            v += into[u]
-            if modulus:
-                v %= modulus
-            if not v:
-                del into[u]
-                continue
-        into[u] = v
+    value = Polynomial._raw(system.field, system.alphabet, terms)
+    return NormalFormResult(value, tuple(trace))
 
 
 def _unique_value(start: dict, system: ReductionSystem, budget: int):
@@ -268,7 +241,7 @@ def _unique_value(start: dict, system: ReductionSystem, budget: int):
         for reduct in reducts:
             value = {}
             for t, c in reduct.items():
-                _add_scaled(value, memo[t], c, modulus)
+                add_scaled(value, memo[t], c, modulus)
             values.append(value)
         if any(v != values[0] for v in values[1:]):
             return None
@@ -276,7 +249,7 @@ def _unique_value(start: dict, system: ReductionSystem, budget: int):
         memo[word] = values[0]
     total = {}
     for w, c in start.items():
-        _add_scaled(total, memo[w], c, modulus)
+        add_scaled(total, memo[w], c, modulus)
     return total
 
 
@@ -297,7 +270,7 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
     start = _terms(a, system)
     value = _unique_value(start, system, budget)
     if value is not None:
-        return {_polynomial(value, system)}
+        return {Polynomial._raw(system.field, system.alphabet, value)}
     seen = {frozenset(start.items())}
     stack = [start]
     normals = []
@@ -319,12 +292,12 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
                     raise BudgetExceededError(len(seen))
                 seen.add(key)
                 stack.append(q)
-    return {_polynomial(state, system) for state in normals}
+    return {Polynomial._raw(system.field, system.alphabet, state) for state in normals}
 
 
 def format_trace(trace) -> str:
     """One line per step: ``A | rule-index | B | lambda``."""
     return "\n".join(
         f"{step.occurrence.prefix} | {step.occurrence.rule} | "
-        f"{step.occurrence.suffix} | {step.coefficient}"
+        f"{step.occurrence.suffix} | {format_coefficient(step.coefficient)}"
         for step in trace)

@@ -3,7 +3,8 @@
 Terms look like ``3*x*y*x``, ``-1/2*z`` or ``1``, joined by ``+``/``-``.
 ``^`` raises a factor to a nonnegative integer power and ``*`` is
 mandatory between factors; generator names may be multi-character.
-A power is built directly, after checking that it is not too large.
+Each term is one monomial, built directly (a power after checking that it
+is not too large), and the sum accumulates into one dict: linear time.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeff import FieldDescriptor
-from .freealg import Alphabet, Polynomial, Word
+from .freealg import Alphabet, Polynomial, Word, add_scaled
 
 
 MAX_POWER_LETTERS = 10 ** 6
@@ -33,8 +34,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*/^]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int
@@ -61,6 +61,7 @@ class _Parser:
         self.pos = 0
         self.field = field
         self.alphabet = alphabet
+        self.one = field.one().value
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -76,35 +77,36 @@ class _Parser:
         raise ExpressionError(message, tok.column if tok else None)
 
     def parse_polynomial(self) -> Polynomial:
-        result = Polynomial.zero(self.field, self.alphabet)
+        terms, modulus = {}, self.field.modulus
         sign = 1
         tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in "+-":
-            self.next()
-            sign = -1 if tok.text == "-" else 1
-        while True:
-            term = self.parse_term()
-            if sign < 0:
-                term = -term
-            result = result + term
+        while True:  # a sign is optional before the first term only
+            if tok and tok.kind == "op" and tok.text in "+-":
+                self.next()
+                sign = -1 if tok.text == "-" else 1
+            value, letters = self.parse_term()
+            if value:
+                add_scaled(terms, {letters: value}, sign, modulus)
             tok = self.peek()
             if tok is None:
-                return result
+                return Polynomial._raw(self.field, self.alphabet, terms)
             if tok.kind != "op" or tok.text not in "+-":
                 self.fail(f"expected '+' or '-', got {tok.text!r}")
-            self.next()
-            sign = -1 if tok.text == "-" else 1
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
+    def parse_term(self) -> tuple:
+        """A product of monomials as one (raw value, letters)."""
+        value, letters = self.parse_factor()
+        letters, modulus = list(letters), self.field.modulus
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text != "*":
-                return result
+                return value, tuple(letters)
             self.next()
-            result = result * self.parse_factor()
+            c, more = self.parse_factor()
+            value = value * c % modulus if modulus else value * c
+            letters += more
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> tuple:
         base = self.parse_atom()
         tok = self.peek()
         if tok and tok.kind == "op" and tok.text == "^":
@@ -115,34 +117,31 @@ class _Parser:
             return self.power(base, int(exp_tok.text), exp_tok.column)
         return base
 
-    def power(self, base: Polynomial, n: int, column: int) -> Polynomial:
-        """base^n of an atom, which is 0 or one term c*w: c^n * w^n."""
-        if not base:
-            return base if n else Polynomial.one(self.field, self.alphabet)
-        [(word, c)] = base.items()
+    def power(self, base: tuple, n: int, column: int) -> tuple:
+        """base^n of an atom c*w: c^n * w^n, as (raw value, letters)."""
+        value, word = base
+        if not value:
+            return base if n else (self.one, ())
         if len(word) * n > MAX_POWER_LETTERS:
             raise ExpressionError(
                 f"power of {len(word) * n} letters exceeds {MAX_POWER_LETTERS}", column)
-        value, modulus = c.value, self.field.modulus
-        if modulus:
-            value = pow(value, n, modulus)
-        else:  # refuse what str() of the numerator or denominator would
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-            size = max(abs(value.numerator), value.denominator)
-            if limit and n * math.log10(size) >= limit:
-                raise ExpressionError(
-                    f"coefficient of the power exceeds {limit} digits", column)
-            value = value ** n
-        return Polynomial.monomial(Word(self.alphabet, word.letters * n),
-                                   self.field.coeff(value))
+        if self.field.modulus:
+            return pow(value, n, self.field.modulus), word * n
+        # refuse what str() of the numerator or denominator would
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        size = max(abs(value.numerator), value.denominator)
+        if limit and n * math.log10(size) >= limit:
+            raise ExpressionError(
+                f"coefficient of the power exceeds {limit} digits", column)
+        return value ** n, word * n
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self) -> tuple:
+        """A generator or a number, as (raw value, letters)."""
         tok = self.next()
         if tok is None:
             raise ExpressionError("unexpected end of expression")
-        if tok.kind == "name":
-            word = self.alphabet.word(tok.text)  # raises on unknown generator
-            return Polynomial.monomial(word, self.field.one())
+        if tok.kind == "name":  # raises on an unknown generator
+            return self.one, (self.alphabet.index(tok.text),)
         if tok.kind == "number":
             value = Fraction(int(tok.text))
             nxt = self.peek()
@@ -152,9 +151,7 @@ class _Parser:
                 if den is None or den.kind != "number" or int(den.text) == 0:
                     self.fail("expected nonzero integer denominator")
                 value /= int(den.text)
-            coeff = self.field.coeff(value)
-            return Polynomial(self.field, self.alphabet,
-                              {Word(self.alphabet, ()): coeff})
+            return self.field.coeff(value).value, ()
         raise ExpressionError(f"unexpected {tok.text!r}", tok.column)
 
 
@@ -163,22 +160,25 @@ def parse_polynomial(text: str, field: FieldDescriptor,
     parser = _Parser(_tokenize(text), field, alphabet)
     if parser.peek() is None:
         raise ExpressionError("empty expression")
-    result = parser.parse_polynomial()
-    return result
+    return parser.parse_polynomial()
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """A product of generators (with optional powers) and the literal 1."""
     field = FieldDescriptor()
-    poly = parse_polynomial(text, field, alphabet)
-    terms = list(poly.items())
+    terms = parse_polynomial(text, field, alphabet).items()
     if len(terms) != 1 or terms[0][1] != field.one():
         raise ExpressionError(f"{text!r} is not a plain word")
     return terms[0][0]
 
 
 def format_coefficient(c) -> str:
-    return str(c.value)
+    try:
+        return str(c.value)
+    except ValueError:  # a numerator or denominator past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(f"coefficient exceeds the limit of {limit} digits "
+                              "for integer string conversion") from None
 
 
 def format_polynomial(poly: Polynomial, spec=None) -> str:
@@ -195,8 +195,7 @@ def format_polynomial(poly: Polynomial, spec=None) -> str:
         def key(w):
             return (w.degree(), w.letters)
     parts = []
-    for word in sorted(poly.words(), key=key, reverse=True):
-        coeff = poly.coefficient(word)
+    for word, coeff in sorted(poly.items(), key=lambda term: key(term[0]), reverse=True):
         text = format_coefficient(coeff)
         negative = text.startswith("-")
         magnitude = text[1:] if negative else text

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from ncrewrite.cli import Presentation, parse_presentation
-from ncrewrite.freealg import Word
+from ncrewrite.freealg import AlphabetMismatchError, FreeAlgebraError, Word
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parent.parent / "presentations"
 
@@ -32,6 +32,69 @@ def occurrences_of(word: Word, pattern: Word) -> list[tuple[Word, Word]]:
 
 def contains(word: Word, pattern: Word) -> bool:
     return bool(occurrences_of(word, pattern))
+
+
+# Naive reference polynomial: {Word: Coefficient} with Coefficient
+# arithmetic, as Polynomial was before it kept the kernel's raw
+# {letters: value} terms.  Tests compare Polynomial's arithmetic with it.
+
+class NaivePolynomial:
+    def __init__(self, field, alphabet, terms=None):
+        self.field = field
+        self.alphabet = alphabet
+        self.terms = {w: c for w, c in dict(terms or {}).items() if c}
+
+    def coefficient(self, word):
+        return self.terms.get(word, self.field.zero())
+
+    def _check(self, other):
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatchError("polynomials over different alphabets")
+        if self.field != other.field:
+            raise FreeAlgebraError("polynomials over different fields")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            s = terms.get(w)
+            terms[w] = c if s is None else s + c
+        return NaivePolynomial(self.field, self.alphabet, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return NaivePolynomial(self.field, self.alphabet,
+                               {w: -c for w, c in self.terms.items()})
+
+    def scale(self, coeff):
+        if not coeff:
+            return NaivePolynomial(self.field, self.alphabet)
+        return NaivePolynomial(self.field, self.alphabet,
+                               {w: coeff * c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        self._check(other)
+        terms = {}
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                w = u * v
+                c = a * b
+                s = terms.get(w)
+                terms[w] = c if s is None else s + c
+        return NaivePolynomial(self.field, self.alphabet, terms)
+
+    def sandwich(self, left, right):
+        return NaivePolynomial(self.field, self.alphabet,
+                               {left * w * right: c for w, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (self.field == other.field and self.alphabet == other.alphabet
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
 
 @pytest.fixture(scope="session")

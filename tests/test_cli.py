@@ -1,4 +1,6 @@
+import itertools
 import json
+import sys
 import time
 import tracemalloc
 
@@ -241,6 +243,16 @@ def test_independent_command(capsys, tmp_path):
     assert "strict inclusion certified" in out
 
 
+def test_independent_mismatched_subset_names_both_files(capsys, tmp_path):
+    # a subset over other generators is a usage error, not a fault at some line
+    subset = tmp_path / "subset.pres"
+    subset.write_text("field Q\ngenerators a < b\n")
+    code, out, err = run(capsys, "independent", pres("weyl.pres"), str(subset))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "line" not in err
+    assert str(subset) in err and pres("weyl.pres") in err
+
+
 def test_graph_command(capsys):
     code, out, _ = run(capsys, "graph", pres("diamond.graph"))
     assert code == 0
@@ -304,6 +316,40 @@ def test_power_over_digit_limit_exit_code(capsys, expr):
     code, out, err = run(capsys, "nf", pres("weyl.pres"), expr)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "digits" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+@pytest.mark.parametrize("argv", [
+    ("nf", "9^4000*9^4000"),
+    ("nf", "9^4000*9^4000*y*x", "--trace"),
+    ("mul", "9^4000", "9^4000"),
+])
+def test_output_coefficient_over_digit_limit_exit_code(capsys, argv):
+    # each factor passes the power check, the product's coefficient does not
+    command, *rest = argv
+    code, out, err = run(capsys, command, pres("weyl.pres"), *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
+def test_parse_takes_linear_time():
+    # 4,000 distinct words of 11 or 12 letters (~100 kB), and one word of
+    # 20,000 letters: quadratic parsing took seconds on each
+    p = parse_presentation("field Q\ngenerators x < y\n")
+    words = [w for n in (11, 12) for w in itertools.product("xy", repeat=n)][:4000]
+    text = " + ".join("*".join(w) for w in words)
+    start = time.perf_counter()
+    poly = parse_polynomial(text, p.field, p.alphabet)
+    assert time.perf_counter() - start < 1
+    assert len(poly.items()) == 4000
+    text = "*".join("xy"[i % 3 == 0] for i in range(20_000))
+    start = time.perf_counter()
+    poly = parse_polynomial(text, p.field, p.alphabet)
+    assert time.perf_counter() - start < 1
+    assert [w.letters for w in poly.words()] == [tuple(int(i % 3 == 0)
+                                                       for i in range(20_000))]
 
 
 def test_power_is_built_directly():

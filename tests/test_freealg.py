@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncrewrite.coeff import RATIONALS
+from ncrewrite.coeff import RATIONALS, CoefficientError, FieldDescriptor
 from ncrewrite.freealg import (
     Alphabet,
     AlphabetMismatchError,
@@ -12,7 +14,7 @@ from ncrewrite.freealg import (
 from ncrewrite.rewrite import InvalidSystemError, ReductionSystem, Rule, _sites
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import EmptyPatternError, occurrences_of
+from conftest import EmptyPatternError, NaivePolynomial, occurrences_of
 
 XY = Alphabet(("x", "y"))
 ABC = Alphabet(("a", "b", "c", "d"))
@@ -164,3 +166,58 @@ def test_mul_associative_and_distributive(a, b, c):
 def test_structural_equality_hash(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+FIELDS = (RATIONALS, FieldDescriptor(7))
+SCALARS = (0, 1, -1, 2, 3, Fraction(3, 2), Fraction(-1, 2))
+# few words, so sums and products cancel and collect often
+short_words = st.lists(st.integers(0, 1), max_size=2).map(lambda ls: Word(XY, tuple(ls)))
+
+
+def term_dicts(field):
+    return st.dictionaries(short_words, st.sampled_from(SCALARS).map(field.coeff),
+                           max_size=5)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FIELDS), st.data())
+def test_arithmetic_matches_naive_reference(field, data):
+    a_terms, b_terms = data.draw(term_dicts(field)), data.draw(term_dicts(field))
+    a, b = Polynomial(field, XY, a_terms), Polynomial(field, XY, b_terms)
+    na, nb = NaivePolynomial(field, XY, a_terms), NaivePolynomial(field, XY, b_terms)
+    c = field.coeff(data.draw(st.sampled_from(SCALARS)))
+    left, right = data.draw(short_words), data.draw(short_words)
+    cases = [(a, na), (a + b, na + nb), (a - b, na - nb), (-a, -na), (a * b, na * nb),
+             (a.scale(c), na.scale(c)), (a.sandwich(left, right), na.sandwich(left, right))]
+    foreign = Word(ABC, (0,) * len(left.letters))  # same letters, another alphabet
+    for poly, naive in cases:
+        assert (poly.field, poly.alphabet) == (naive.field, naive.alphabet)
+        assert dict(poly.items()) == naive.terms
+        assert len(poly.items()) == len(naive.terms)
+        assert set(poly.words()) == set(naive.terms)
+        assert poly.is_zero() == (not naive.terms)
+        for word in list(naive.terms) + [left, right, left * right]:
+            assert poly.coefficient(word) == naive.coefficient(word)
+        assert poly.coefficient(foreign) == field.zero()
+        rebuilt = Polynomial(field, XY, dict(poly.items()))
+        assert rebuilt == poly and hash(rebuilt) == hash(poly)
+    for (p1, n1), (p2, n2) in zip(cases, cases[1:] + cases[:1]):
+        assert (p1 == p2) == (n1 == n2)
+        if p1 == p2:
+            assert hash(p1) == hash(p2)
+
+
+def test_arithmetic_refuses_mixed_alphabets_and_fields():
+    x = Polynomial.monomial(w(XY, "x"), RATIONALS.one())
+    a = Polynomial.monomial(w(ABC, "a"), RATIONALS.one())
+    f7 = FieldDescriptor(7)
+    x7 = Polynomial.monomial(w(XY, "x"), f7.one())
+    for op in (lambda: x + a, lambda: x - a, lambda: x * a,
+               lambda: x.sandwich(w(ABC, "a"), XY.one())):
+        with pytest.raises(AlphabetMismatchError):
+            op()
+    for op in (lambda: x + x7, lambda: x * x7):
+        with pytest.raises(FreeAlgebraError):
+            op()
+    with pytest.raises(CoefficientError):
+        x.scale(f7.coeff(3))
