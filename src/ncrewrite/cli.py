@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .ambiguity import ambiguities, check_all, simplify_system
 from .arw import GraphError, newman_verdict, parse_graph
 from .coeff import CoefficientError, FieldDescriptor
-from .freealg import Alphabet, FreeAlgebraError, Polynomial
+from .freealg import Alphabet
 from .order import OrderingSpec
 from .quotient import QuotientError, QuotientRing, independence_check
 from .rewrite import (
@@ -39,9 +39,6 @@ from .rewrite import (
 from .syntax import ExpressionError, format_polynomial, parse_polynomial, parse_word
 
 BUDGET_ENV_VAR = "NCREWRITE_ORACLE_BUDGET"
-# what a word or polynomial in user input can raise: bad syntax, an unknown
-# generator, a denominator divisible by p, an integer literal too long to convert
-_EXPRESSION_ERRORS = (ExpressionError, FreeAlgebraError, CoefficientError, ValueError)
 
 
 class UsageError(Exception):
@@ -61,6 +58,15 @@ class Presentation:
     alphabet: Alphabet
     ordering: OrderingSpec
     system: ReductionSystem
+
+
+def _decimal(text: str) -> int:
+    """The value of a string of decimal digits; -1 for anything else,
+    also for more digits than Python converts."""
+    try:
+        return int(text) if text.isdecimal() else -1
+    except ValueError:
+        return -1
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -85,12 +91,13 @@ def parse_presentation(text: str) -> Presentation:
             if field is not None:
                 raise PresentationError(lineno, "duplicate field directive")
             parts = rest.split()
+            modulus = _decimal(parts[1]) if len(parts) == 2 and parts[0] == "F" else -1
             if parts == ["Q"]:
                 field = FieldDescriptor()
-            elif len(parts) == 2 and parts[0] == "F" and parts[1].isdigit():
+            elif modulus >= 0:
                 try:
-                    field = FieldDescriptor(int(parts[1]))
-                except (ValueError, CoefficientError) as exc:
+                    field = FieldDescriptor(modulus)
+                except CoefficientError as exc:  # not prime, or too large to decide
                     raise PresentationError(lineno, str(exc)) from None
             else:
                 raise PresentationError(lineno, f"bad field {rest!r}")
@@ -104,12 +111,11 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationError(lineno, "duplicate generator")
         elif head == "weight":
             parts = rest.split()
-            try:  # int() also refuses more digits than Python converts
-                weight = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
-            except ValueError:
-                weight = 0
+            weight = _decimal(parts[1]) if len(parts) == 2 else -1
             if weight < 1:
                 raise PresentationError(lineno, f"bad weight directive {rest!r}")
+            if parts[0] in weights:
+                raise PresentationError(lineno, f"duplicate weight for {parts[0]!r}")
             weights[parts[0]] = (weight, lineno)
         elif head == "rule":
             lhs_text, arrow, rhs_text = rest.partition("->")
@@ -134,7 +140,7 @@ def parse_presentation(text: str) -> Presentation:
         try:
             lhs = parse_word(lhs_text, alphabet)
             rhs = parse_polynomial(rhs_text, field, alphabet)
-        except _EXPRESSION_ERRORS as exc:
+        except ExpressionError as exc:
             raise PresentationError(lineno, str(exc)) from None
         if lhs.is_one():
             raise PresentationError(lineno, "empty rule left side")
@@ -183,13 +189,6 @@ def _load_presentation(path: str) -> Presentation:
         return parse_presentation(fh.read())
 
 
-def _parse_expr(text: str, p: Presentation) -> Polynomial:
-    try:
-        return parse_polynomial(text, p.field, p.alphabet)
-    except _EXPRESSION_ERRORS as exc:
-        raise ExpressionError(str(exc)) from None
-
-
 def cmd_check(p: Presentation, args) -> int:
     report = check_all(p.system, p.ordering)
     if not report.compatible:
@@ -213,7 +212,8 @@ def cmd_check(p: Presentation, args) -> int:
 
 
 def cmd_nf(p: Presentation, args) -> int:
-    result = normal_form(_parse_expr(args.expr, p), p.system, p.ordering)
+    expr = parse_polynomial(args.expr, p.field, p.alphabet)
+    result = normal_form(expr, p.system, p.ordering)
     text = format_polynomial(result.value, p.ordering)
     data = {"normal_form": text}
     human = text
@@ -227,8 +227,8 @@ def cmd_nf(p: Presentation, args) -> int:
 
 def cmd_mul(p: Presentation, args) -> int:
     ring = QuotientRing.build(p.system, p.ordering)
-    a = ring.normal_form(_parse_expr(args.left, p))
-    b = ring.normal_form(_parse_expr(args.right, p))
+    a = ring.normal_form(parse_polynomial(args.left, p.field, p.alphabet))
+    b = ring.normal_form(parse_polynomial(args.right, p.field, p.alphabet))
     text = format_polynomial(ring.multiply(a, b), p.ordering)
     _emit({"product": text}, text, args.format)
     return 0
@@ -236,7 +236,7 @@ def cmd_mul(p: Presentation, args) -> int:
 
 def cmd_member(p: Presentation, args) -> int:
     ring = QuotientRing.build(p.system, p.ordering)
-    member = ring.ideal_member(_parse_expr(args.expr, p))
+    member = ring.ideal_member(parse_polynomial(args.expr, p.field, p.alphabet))
     _emit({"member": member}, "member" if member else "not a member", args.format)
     return 0
 
@@ -261,13 +261,16 @@ def cmd_ambiguities(p: Presentation, args) -> int:
 
 
 def cmd_oracle(p: Presentation, args) -> int:
-    budget = args.budget
-    if budget is None:
+    if args.budget is None:
+        source = BUDGET_ENV_VAR
         text = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_ORACLE_BUDGET))
-        if not text.isdecimal():
-            raise UsageError(f"{BUDGET_ENV_VAR} must be an integer >= 0, not {text!r}")
-        budget = int(text)
-    forms = all_normal_forms(_parse_expr(args.expr, p), p.system, budget)
+    else:
+        source, text = "--budget", str(args.budget)
+    budget = _decimal(text)
+    if budget < 0:
+        raise UsageError(f"{source} must be an integer >= 0, not {text!r}")
+    expr = parse_polynomial(args.expr, p.field, p.alphabet)
+    forms = all_normal_forms(expr, p.system, budget)
     rendered = sorted(format_polynomial(f, p.ordering) for f in forms)
     _emit({"normal_forms": rendered}, "\n".join(rendered), args.format)
     return 0

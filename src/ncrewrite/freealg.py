@@ -44,14 +44,11 @@ class Alphabet:
         if any(w < 1 for w in self.weights):
             raise FreeAlgebraError("weights must be >= 1")
 
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise FreeAlgebraError(f"unknown generator {name!r}") from None
-
     def word(self, *names: str) -> "Word":
-        return Word(self, tuple(self.index(n) for n in names))
+        try:
+            return Word(self, tuple(map(self.symbols.index, names)))
+        except ValueError:
+            raise FreeAlgebraError(f"unknown generator among {names!r}") from None
 
     def one(self) -> "Word":
         return Word(self, ())
@@ -130,8 +127,15 @@ class Polynomial:
     def __init__(self, field: FieldDescriptor, alphabet: Alphabet, terms=None):
         self.field = field
         self.alphabet = alphabet
-        self._terms = {w.letters: c.value for w, c in dict(terms or {}).items() if c}
+        self._terms = {}
         self._hash = None
+        for w, c in dict(terms or {}).items():
+            if w.alphabet != alphabet:
+                raise AlphabetMismatchError("a word over another alphabet than the polynomial")
+            if c.field != field:
+                raise FieldMismatchError("a coefficient over another field than the polynomial")
+            if c:
+                self._terms[w.letters] = c.value
 
     @classmethod
     def _raw(cls, field: FieldDescriptor, alphabet: Alphabet, terms: dict) -> "Polynomial":
@@ -146,7 +150,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, word: Word, coeff: Coefficient) -> "Polynomial":
-        return cls(coeff.field, word.alphabet, {word: coeff})
+        terms = {word.letters: coeff.value} if coeff else {}
+        return cls._raw(coeff.field, word.alphabet, terms)
 
     @classmethod
     def one(cls, field, alphabet) -> "Polynomial":

@@ -3,8 +3,14 @@
 Terms look like ``3*x*y*x``, ``-1/2*z`` or ``1``, joined by ``+``/``-``.
 ``^`` raises a factor to a nonnegative integer power and ``*`` is
 mandatory between factors; generator names may be multi-character.
-Each term is one monomial, built directly (a power after checking that it
-is not too large), and the sum accumulates into one dict: linear time.
+An expression is read in one left-to-right scan: one pattern matches a
+whole factor (a generator, or ``n`` or ``n/d``, with an optional ``^k``),
+each factor is multiplied into the current term as one monomial (a power
+after checking that it is not too large), and each finished term is added
+into one dict: linear time.  The parser owns every error in its input: an
+unknown generator, a denominator that is 0 in the field, an integer over
+Python's digit limit or a stray character raises ExpressionError with the
+column where it occurs, so a caller catches that one error type.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coeff import FieldDescriptor
 from .freealg import Alphabet, Polynomial, Word, add_scaled
@@ -29,138 +34,89 @@ class ExpressionError(Exception):
         self.column = column
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<number>\d+)"
-                    r"|(?P<op>[-+*/^]))")
+_OPERATOR = re.compile(r"\s*([-+*]?)\s*")
+# a missing d or k matches as empty, so it is reported where it is missing
+_FACTOR = re.compile(r"(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
+                     r"(?:\s*/\s*(?P<den>\d*))?)(?:\s*\^\s*(?P<exp>\d*))?")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    column: int
+def _integer(m: re.Match, group: str) -> int:
+    """The digits of a group as an int; no digits read as 0."""
+    try:
+        return int(m[group] or 0)
+    except ValueError:  # more digits than Python converts
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(f"integer exceeds the limit of {limit} digits",
+                              m.start(group) + 1) from None
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-            break
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, field: FieldDescriptor, alphabet: Alphabet):
-        self.tokens = tokens
-        self.pos = 0
-        self.field = field
-        self.alphabet = alphabet
-        self.one = field.one().value
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message):
-        tok = self.peek()
-        raise ExpressionError(message, tok.column if tok else None)
-
-    def parse_polynomial(self) -> Polynomial:
-        terms, modulus = {}, self.field.modulus
-        sign = 1
-        tok = self.peek()
-        while True:  # a sign is optional before the first term only
-            if tok and tok.kind == "op" and tok.text in "+-":
-                self.next()
-                sign = -1 if tok.text == "-" else 1
-            value, letters = self.parse_term()
-            if value:
-                add_scaled(terms, {letters: value}, sign, modulus)
-            tok = self.peek()
-            if tok is None:
-                return Polynomial._raw(self.field, self.alphabet, terms)
-            if tok.kind != "op" or tok.text not in "+-":
-                self.fail(f"expected '+' or '-', got {tok.text!r}")
-
-    def parse_term(self) -> tuple:
-        """A product of monomials as one (raw value, letters)."""
-        value, letters = self.parse_factor()
-        letters, modulus = list(letters), self.field.modulus
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text != "*":
-                return value, tuple(letters)
-            self.next()
-            c, more = self.parse_factor()
-            value = value * c % modulus if modulus else value * c
-            letters += more
-
-    def parse_factor(self) -> tuple:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok is None or exp_tok.kind != "number":
-                self.fail("expected integer exponent after '^'")
-            return self.power(base, int(exp_tok.text), exp_tok.column)
-        return base
-
-    def power(self, base: tuple, n: int, column: int) -> tuple:
-        """base^n of an atom c*w: c^n * w^n, as (raw value, letters)."""
-        value, word = base
-        if not value:
-            return base if n else (self.one, ())
-        if len(word) * n > MAX_POWER_LETTERS:
-            raise ExpressionError(
-                f"power of {len(word) * n} letters exceeds {MAX_POWER_LETTERS}", column)
-        if self.field.modulus:
-            return pow(value, n, self.field.modulus), word * n
-        # refuse what str() of the numerator or denominator would
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        size = max(abs(value.numerator), value.denominator)
-        if limit and n * math.log10(size) >= limit:
-            raise ExpressionError(
-                f"coefficient of the power exceeds {limit} digits", column)
-        return value ** n, word * n
-
-    def parse_atom(self) -> tuple:
-        """A generator or a number, as (raw value, letters)."""
-        tok = self.next()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if tok.kind == "name":  # raises on an unknown generator
-            return self.one, (self.alphabet.index(tok.text),)
-        if tok.kind == "number":
-            value = Fraction(int(tok.text))
-            nxt = self.peek()
-            if nxt and nxt.kind == "op" and nxt.text == "/":
-                self.next()
-                den = self.next()
-                if den is None or den.kind != "number" or int(den.text) == 0:
-                    self.fail("expected nonzero integer denominator")
-                value /= int(den.text)
-            return self.field.coeff(value).value, ()
-        raise ExpressionError(f"unexpected {tok.text!r}", tok.column)
+def _power(value, word: tuple, n: int, field: FieldDescriptor, column: int) -> tuple:
+    """(value, word)^n of one factor, refused before it is built if too large."""
+    if not value:
+        return (value if n else field.one().value), word
+    if len(word) * n > MAX_POWER_LETTERS:
+        raise ExpressionError(
+            f"power of {len(word) * n} letters exceeds {MAX_POWER_LETTERS}", column)
+    if field.modulus:
+        return pow(value, n, field.modulus), word * n
+    # refuse what str() of the numerator or denominator would
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    size = max(abs(value.numerator), value.denominator)
+    if limit and n * math.log10(size) >= limit:
+        raise ExpressionError(
+            f"coefficient of the power exceeds {limit} digits", column)
+    return value ** n, word * n
 
 
 def parse_polynomial(text: str, field: FieldDescriptor,
                      alphabet: Alphabet) -> Polynomial:
-    parser = _Parser(_tokenize(text), field, alphabet)
-    if parser.peek() is None:
+    text = text.rstrip()
+    if not text:
         raise ExpressionError("empty expression")
-    return parser.parse_polynomial()
+    modulus, one = field.modulus, field.one().value
+    index = {name: i for i, name in enumerate(alphabet.symbols)}
+    terms, sign, value, letters, pos = {}, 1, None, [], 0
+    while pos < len(text):
+        sep = _OPERATOR.match(text, pos)
+        op, pos = sep[1], sep.end()
+        m = _FACTOR.match(text, pos)
+        if m is None:
+            if pos == len(text):
+                raise ExpressionError("unexpected end of expression")
+            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
+        # a '*' before the first factor, or no operator before a later one
+        if op == ("*" if value is None else ""):
+            raise ExpressionError(f"unexpected {op!r}" if op else
+                                  "expected '+', '-' or '*'", sep.start(1) + 1)
+        if op != "*":  # a new term starts; the one before it is finished
+            if value:
+                add_scaled(terms, {tuple(letters): value}, sign, modulus)
+            sign, value, letters = (-1 if op == "-" else 1), one, []
+        name = m["name"]
+        if name is not None:
+            if name not in index:
+                raise ExpressionError(f"unknown generator {name!r}", pos + 1)
+            c, word = one, (index[name],)
+        else:
+            d = 1 if m["den"] is None else _integer(m, "den")
+            if not d:
+                raise ExpressionError("expected nonzero integer denominator",
+                                      m.start("den") + 1)
+            c = Fraction(_integer(m, "num"), d)
+            if modulus and not c.denominator % modulus:
+                raise ExpressionError(f"denominator is 0 in {field}", m.start("den") + 1)
+            c, word = field.coeff(c).value, ()
+        if m["exp"] is not None:
+            if not m["exp"]:
+                raise ExpressionError("expected integer exponent after '^'",
+                                      m.start("exp") + 1)
+            c, word = _power(c, word, _integer(m, "exp"), field, m.start("exp") + 1)
+        value = value * c % modulus if modulus else value * c
+        letters += word
+        pos = m.end()
+    if value:
+        add_scaled(terms, {tuple(letters): value}, sign, modulus)
+    return Polynomial._raw(field, alphabet, terms)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

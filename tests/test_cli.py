@@ -212,6 +212,12 @@ def test_oracle_budget_env_var_not_integer(capsys, monkeypatch):
     assert err.startswith("error:") and "NCREWRITE_ORACLE_BUDGET" in err
 
 
+def test_oracle_negative_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", pres("weyl.pres"), "y*x", "--budget", "-5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "--budget" in err
+
+
 def test_basis_negative_degree_is_usage_error(capsys):
     code, out, err = run(capsys, "basis", pres("weyl.pres"), "--max-degree", "-1")
     assert (code, out) == (3, "")
@@ -223,6 +229,8 @@ def test_basis_negative_degree_is_usage_error(capsys):
     (["check"], 3),
     (["--help"], 0),
     (["nf", "--help"], 0),
+    (["oracle", pres("weyl.pres"), "y*x", "--budget", "-5"], 3),
+    (["oracle", pres("weyl.pres"), "x", "--budget", "-5"], 3),
 ])
 def test_argparse_exit_codes(capsys, argv, code):
     assert run(capsys, *argv)[0] == code
@@ -308,6 +316,14 @@ def test_malformed_weight_exit_code(capsys, tmp_path, line):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (3, "")
     assert err.startswith("error: line 3:")
+
+
+def test_duplicate_weight_exit_code(capsys, tmp_path):
+    path = tmp_path / "w.pres"
+    path.write_text("field Q\ngenerators x < y\nweight y 2\nweight y 3\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 4:")
 
 
 @pytest.mark.parametrize("expr", ["3^9100", "2/7^6000 + x"])

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncrewrite.coeff import RATIONALS, CoefficientError, FieldDescriptor
+from ncrewrite.coeff import (
+    RATIONALS,
+    CoefficientError,
+    FieldDescriptor,
+    FieldMismatchError,
+)
 from ncrewrite.freealg import (
     Alphabet,
     AlphabetMismatchError,
@@ -221,3 +226,8 @@ def test_arithmetic_refuses_mixed_alphabets_and_fields():
             op()
     with pytest.raises(CoefficientError):
         x.scale(f7.coeff(3))
+    # the constructor, too, refuses a word or a coefficient from elsewhere
+    with pytest.raises(AlphabetMismatchError):
+        Polynomial(RATIONALS, XY, {w(ABC, "a"): RATIONALS.one()})
+    with pytest.raises(FieldMismatchError):
+        Polynomial(RATIONALS, XY, {w(XY, "x"): f7.coeff(3)})
