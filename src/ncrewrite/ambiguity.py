@@ -14,11 +14,10 @@ word, and the branch difference is reduced against them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .coeff import Coefficient
 from .freealg import Polynomial, Word, add_scaled
-from .order import CompatibilityReport, OrderingSpec
+from .order import OrderingSpec
 from .rewrite import ReductionSystem, _sites, compatibility
 from .rewrite import normal_form, require_compatible
 
@@ -26,14 +25,11 @@ OVERLAP = "overlap"
 INCLUSION = "inclusion"
 
 
-@dataclass(frozen=True)
-class Ambiguity:
-    kind: str  # OVERLAP or INCLUSION
-    sigma: int
-    tau: int
-    a: Word
-    b: Word
-    c: Word
+class Ambiguity(namedtuple("Ambiguity", "kind sigma tau a b c")):
+    """Rules sigma and tau competing on the word ABC; kind is OVERLAP or
+    INCLUSION."""
+
+    __slots__ = ()
 
     @property
     def word(self) -> Word:
@@ -82,13 +78,11 @@ def ambiguities(system: ReductionSystem) -> list[Ambiguity]:
     return enumerate_overlaps(system) + enumerate_inclusions(system)
 
 
-@dataclass(frozen=True)
-class AmbiguityVerdict:
-    ambiguity: Ambiguity
-    branch_left: Polynomial
-    branch_right: Polynomial
-    nf_left: Polynomial
-    nf_right: Polynomial
+class AmbiguityVerdict(namedtuple(
+        "AmbiguityVerdict", "ambiguity branch_left branch_right nf_left nf_right")):
+    """The two one-step branches of an ambiguity and their normal forms."""
+
+    __slots__ = ()
 
     @property
     def resolvable(self) -> bool:
@@ -114,18 +108,14 @@ def check_resolvable(amb: Ambiguity, system: ReductionSystem,
         normal_form(right, system, spec).value)
 
 
-@dataclass(frozen=True)
-class CertificateTerm:
-    prefix: Word
-    rule: int
-    suffix: Word
-    coefficient: Coefficient
+CertificateTerm = namedtuple("CertificateTerm", "prefix rule suffix coefficient")
 
 
-@dataclass(frozen=True)
-class RelativeVerdict:
-    resolvable: bool
-    certificate: tuple[CertificateTerm, ...] | None
+class RelativeVerdict(namedtuple("RelativeVerdict", "resolvable certificate")):
+    """certificate: CertificateTerms whose sum is the branch difference, or
+    None when it is not resolvable."""
+
+    __slots__ = ()
 
     def expand(self, system: ReductionSystem) -> Polynomial:
         """Re-expand the certificate combination of B(W_sigma - f_sigma)C."""
@@ -235,11 +225,13 @@ def check_resolvable_relative(amb: Ambiguity, system: ReductionSystem,
         for j, x in sorted(solution.items())))
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    compatibility: CompatibilityReport
-    verdicts: tuple[AmbiguityVerdict, ...]
-    relative_agrees: bool | None = None  # set when the cross-check ran
+class ConfluenceReport(namedtuple("ConfluenceReport",
+                                  "compatibility verdicts relative_agrees",
+                                  defaults=(None,))):
+    """A CompatibilityReport and one AmbiguityVerdict per ambiguity;
+    relative_agrees is set when the cross-check ran."""
+
+    __slots__ = ()
 
     @property
     def compatible(self) -> bool:

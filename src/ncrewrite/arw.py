@@ -8,6 +8,7 @@ connected component, reached by every maximal path.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -49,10 +50,10 @@ class OrientedGraph:
         return seen
 
 
-@dataclass(frozen=True)
-class TerminationResult:
-    terminating: bool
-    cycle: tuple | None  # a directed cycle, first vertex repeated at the end
+class TerminationResult(namedtuple("TerminationResult", "terminating cycle")):
+    """cycle: a directed cycle, first vertex repeated at the end, or None."""
+
+    __slots__ = ()
 
 
 def check_termination(graph: OrientedGraph) -> TerminationResult:
@@ -90,10 +91,7 @@ def check_termination(graph: OrientedGraph) -> TerminationResult:
     return TerminationResult(True, None)
 
 
-@dataclass(frozen=True)
-class DiamondResult:
-    holds: bool
-    failing_vertex: object | None
+DiamondResult = namedtuple("DiamondResult", "holds failing_vertex")
 
 
 def check_local_diamond(graph: OrientedGraph) -> DiamondResult:
@@ -108,18 +106,14 @@ def check_local_diamond(graph: OrientedGraph) -> DiamondResult:
     return DiamondResult(True, None)
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
-    vertices: frozenset
-    sink: object
+ComponentVerdict = namedtuple("ComponentVerdict", "vertices sink")
 
 
-@dataclass(frozen=True)
-class NewmanVerdict:
-    ok: bool
-    failure: str | None  # "termination" or "diamond" when not ok
-    witness: object | None
-    components: tuple[ComponentVerdict, ...]
+class NewmanVerdict(namedtuple("NewmanVerdict", "ok failure witness components")):
+    """failure is "termination" or "diamond" when not ok, with its witness;
+    components holds one ComponentVerdict per component when ok."""
+
+    __slots__ = ()
 
 
 def _weak_components(graph: OrientedGraph) -> list[frozenset]:

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ambiguity import ambiguities, check_all, simplify_system
 from .arw import GraphError, newman_verdict, parse_graph
@@ -52,12 +52,7 @@ class PresentationError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Presentation:
-    field: FieldDescriptor
-    alphabet: Alphabet
-    ordering: OrderingSpec
-    system: ReductionSystem
+Presentation = namedtuple("Presentation", "field alphabet ordering system")
 
 
 def _decimal(text: str) -> int:
@@ -202,9 +197,10 @@ def cmd_check(p: Presentation, args) -> int:
     verdicts = [_ambiguity_dict(v.ambiguity, p, v) for v in report.verdicts]
     human = [f"{len(report.verdicts)} ambiguities, "
              + ("confluent" if report.confluent else "not confluent")]
-    for v in report.verdicts:
-        status = "resolvable" if v.resolvable else "NOT resolvable"
-        human.append(f"  {v.ambiguity.kind} at {v.ambiguity.word}: {status}")
+    for v in verdicts:
+        status = "resolvable" if v["resolvable"] else \
+            f"NOT resolvable (nf_left {v['nf_left']}, nf_right {v['nf_right']})"
+        human.append(f"  {v['kind']} at {v['D']}: {status}")
     _emit({"verdict": "confluent" if report.confluent else "not confluent",
            "ambiguities": verdicts},
           "\n".join(human), args.format)

@@ -11,6 +11,7 @@ values, so they hash and compare structurally.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -95,13 +96,10 @@ class Word:
         return "*".join(self.alphabet.symbols[i] for i in self.letters)
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(namedtuple("Occurrence", "prefix rule suffix")):
     """A site A * W_sigma * B inside a scanned word: prefix, rule index, suffix."""
 
-    prefix: Word
-    rule: int
-    suffix: Word
+    __slots__ = ()
 
 
 def add_scaled(into: dict, terms: dict, c, modulus: int | None) -> None:

@@ -7,6 +7,7 @@ descending chain condition: only finitely many words sit below any word.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .freealg import Alphabet, AlphabetMismatchError, Word
@@ -53,12 +54,10 @@ def deglex_compare(u: Word, v: Word, spec: OrderingSpec) -> int:
     return EQ
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(namedtuple("CompatibilityReport", "compatible violations")):
     """Violations are (rule index, monomial of f_sigma not strictly below the lhs)."""
 
-    compatible: bool
-    violations: tuple[tuple[int, Word], ...]
+    __slots__ = ()
 
 
 def check_compatibility(system, spec: OrderingSpec) -> CompatibilityReport:

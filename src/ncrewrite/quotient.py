@@ -7,9 +7,9 @@ rule differences, with multiplication "multiply, then fully reduce".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .ambiguity import ConfluenceReport, check_all
+from .ambiguity import check_all
 from .freealg import Polynomial, Word
 from .order import OrderingSpec
 from .rewrite import ReductionSystem, _sites, is_irreducible, normal_form
@@ -23,11 +23,10 @@ class NotConfluentError(QuotientError):
     pass
 
 
-@dataclass(frozen=True)
-class QuotientRing:
-    system: ReductionSystem
-    spec: OrderingSpec
-    report: ConfluenceReport
+class QuotientRing(namedtuple("QuotientRing", "system spec report")):
+    """k<X>/(W - f) of a confluent system, its order and its ConfluenceReport."""
+
+    __slots__ = ()
 
     @classmethod
     def build(cls, system: ReductionSystem, spec: OrderingSpec) -> "QuotientRing":
@@ -58,11 +57,12 @@ class QuotientRing:
         return words
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    strict: bool
-    witness: int | None  # index in S2 of a rule whose lhs S1 cannot reduce
-    independent_rules: tuple[int, ...]  # populated when S2 has no ambiguities
+class IndependenceVerdict(namedtuple("IndependenceVerdict",
+                                     "strict witness independent_rules")):
+    """witness: index in S2 of a rule whose lhs S1 cannot reduce, or None;
+    independent_rules is populated when S2 has no ambiguities."""
+
+    __slots__ = ()
 
 
 def independence_check(s1: ReductionSystem, s2: ReductionSystem,

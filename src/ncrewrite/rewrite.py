@@ -24,6 +24,7 @@ non-confluent and cyclic systems.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -57,10 +58,7 @@ class BudgetExceededError(RewriteError):
 DEFAULT_ORACLE_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Word
-    rhs: Polynomial
+Rule = namedtuple("Rule", "lhs rhs")
 
 
 @dataclass(frozen=True)
@@ -149,16 +147,13 @@ def is_irreducible(a: Polynomial, system: ReductionSystem) -> bool:
     return not any(any(_sites(w, system._compiled)) for w in _terms(a, system))
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    occurrence: Occurrence
-    coefficient: Coefficient  # the lambda removed; nonzero by construction
+class ReductionStep(namedtuple("ReductionStep", "occurrence coefficient")):
+    """coefficient: the lambda removed; nonzero by construction."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
-    value: Polynomial
-    trace: tuple[ReductionStep, ...]
+NormalFormResult = namedtuple("NormalFormResult", "value trace")
 
 
 def normal_form(a: Polynomial, system: ReductionSystem,

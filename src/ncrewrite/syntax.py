@@ -6,10 +6,12 @@ mandatory between factors; generator names may be multi-character.
 An expression is read in one left-to-right scan: one pattern matches a
 whole factor (a generator, or ``n`` or ``n/d``, with an optional ``^k``),
 each factor is multiplied into the current term as one monomial (a power
-after checking that it is not too large), and each finished term is added
-into one dict: linear time.  The parser owns every error in its input: an
-unknown generator, a denominator that is 0 in the field, an integer over
-Python's digit limit or a stray character raises ExpressionError with the
+after checking that its coefficient is not too large), and each finished
+term is added into one dict: linear time.  The words of one expression hold
+at most MAX_POWER_LETTERS letters in all, counted before a factor's letters
+are built.  The parser owns every error in its input: an unknown generator,
+a denominator that is 0 in the field, an integer over Python's digit limit,
+a stray character or too many letters raises ExpressionError with the
 column where it occurs, so a caller catches that one error type.
 """
 
@@ -24,7 +26,7 @@ from .coeff import FieldDescriptor
 from .freealg import Alphabet, Polynomial, Word, add_scaled
 
 
-MAX_POWER_LETTERS = 10 ** 6
+MAX_POWER_LETTERS = 10 ** 6  # letters in all the words of one expression
 
 
 class ExpressionError(Exception):
@@ -51,12 +53,10 @@ def _integer(m: re.Match, group: str) -> int:
 
 
 def _power(value, word: tuple, n: int, field: FieldDescriptor, column: int) -> tuple:
-    """(value, word)^n of one factor, refused before it is built if too large."""
+    """(value, word)^n of one factor, refused before it is built if its
+    coefficient is too large."""
     if not value:
         return (value if n else field.one().value), word
-    if len(word) * n > MAX_POWER_LETTERS:
-        raise ExpressionError(
-            f"power of {len(word) * n} letters exceeds {MAX_POWER_LETTERS}", column)
     if field.modulus:
         return pow(value, n, field.modulus), word * n
     # refuse what str() of the numerator or denominator would
@@ -75,7 +75,7 @@ def parse_polynomial(text: str, field: FieldDescriptor,
         raise ExpressionError("empty expression")
     modulus, one = field.modulus, field.one().value
     index = {name: i for i, name in enumerate(alphabet.symbols)}
-    terms, sign, value, letters, pos = {}, 1, None, [], 0
+    terms, sign, value, letters, pos, size = {}, 1, None, [], 0, 0
     while pos < len(text):
         sep = _OPERATOR.match(text, pos)
         op, pos = sep[1], sep.end()
@@ -106,11 +106,16 @@ def parse_polynomial(text: str, field: FieldDescriptor,
             if modulus and not c.denominator % modulus:
                 raise ExpressionError(f"denominator is 0 in {field}", m.start("den") + 1)
             c, word = field.coeff(c).value, ()
-        if m["exp"] is not None:
-            if not m["exp"]:
-                raise ExpressionError("expected integer exponent after '^'",
-                                      m.start("exp") + 1)
-            c, word = _power(c, word, _integer(m, "exp"), field, m.start("exp") + 1)
+        if m["exp"] == "":
+            raise ExpressionError("expected integer exponent after '^'",
+                                  m.start("exp") + 1)
+        n = 1 if m["exp"] is None else _integer(m, "exp")
+        size += len(word) * n  # letters in all the words so far
+        if size > MAX_POWER_LETTERS:
+            raise ExpressionError(
+                f"expression holds {size} letters, more than {MAX_POWER_LETTERS}", pos + 1)
+        if n != 1:
+            c, word = _power(c, word, n, field, m.start("exp") + 1)
         value = value * c % modulus if modulus else value * c
         letters += word
         pos = m.end()

@@ -143,6 +143,18 @@ def test_check_exit_codes(capsys):
     assert "NOT resolvable" in out
 
 
+@pytest.mark.parametrize("name,line", [
+    ("aba.pres", "  overlap at a*b*a*b*a: NOT resolvable (nf_left b*b*a, nf_right a*b*b)"),
+    ("dup_lhs.pres", "  inclusion at a*b: NOT resolvable (nf_left a, nf_right b)"),
+], ids=["aba", "dup_lhs"])
+def test_check_prints_the_witness_of_an_unresolvable_ambiguity(capsys, name, line):
+    code, out, _ = run(capsys, "check", pres(name))
+    assert (code, out) == (1, f"1 ambiguities, not confluent\n{line}\n")
+    code, out, _ = run(capsys, "--format", "structured", "check", pres(name))
+    amb = json.loads(out)["ambiguities"][0]
+    assert f"(nf_left {amb['nf_left']}, nf_right {amb['nf_right']})" in line
+
+
 def test_check_incompatible_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.pres"
     bad.write_text("field Q\ngenerators x\nrule x -> x*x\n")
@@ -396,6 +408,36 @@ def test_power_refused_before_it_is_built(expr):
         tracemalloc.stop()
     assert peak < 100_000
     assert parse_polynomial(f"y^{MAX_POWER_LETTERS}", p.field, p.alphabet)
+
+
+@pytest.mark.parametrize("expr,column", [
+    ("x^1000000*x", 11),          # one term
+    ("x^600000*x^600000", 10),    # two powers in one term
+    ("x^600000 + y^600000", 12),  # summed over the terms
+])
+def test_letters_bounded_over_the_whole_expression(capsys, expr, column):
+    p = parse_presentation("field Q\ngenerators x < y\n")
+    with pytest.raises(ExpressionError) as err:
+        parse_polynomial(expr, p.field, p.alphabet)
+    assert err.value.column == column  # the factor that crosses the bound
+    code, _, err_text = run(capsys, "nf", pres("weyl.pres"), expr)
+    assert code == 3
+    assert err_text.startswith(f"error: column {column}:")
+
+
+def test_letter_bound_refuses_before_the_letters_are_built():
+    # 29 characters that would ask for a 3,000,000-letter word (56 MB traced)
+    p = parse_presentation("field Q\ngenerators x < y\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpressionError) as err:
+            parse_polynomial("x^1000000*x^1000000*x^1000000", p.field, p.alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.column == 11
+    # the first factor's 10**6 letters, as its tuple and in the term (16 MB)
+    assert peak < 20_000_000
 
 
 VALID_PRESENTATION = ["field Q", "generators x < y", "weight y 2", "rule y*x -> x*y + 1"]
