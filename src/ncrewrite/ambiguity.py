@@ -39,20 +39,28 @@ class Ambiguity(namedtuple("Ambiguity", "kind sigma tau a b c")):
 
 def enumerate_overlaps(system: ReductionSystem) -> list[Ambiguity]:
     """Every nonempty proper suffix of W_sigma equal to a nonempty proper
-    prefix of W_tau, over all ordered pairs including sigma = tau."""
+    prefix of W_tau, over all ordered pairs including sigma = tau, ordered
+    by sigma, then tau, then the overlap's length.
+
+    Each suffix is looked up in a map from every nonempty proper prefix of
+    a left side to the rules whose left side starts with it.
+    """
+    lhss = [lhs for lhs, _ in system._compiled]
+    starts = {}  # nonempty proper prefix -> rules starting with it, ascending
+    for t, wt in enumerate(lhss):
+        for blen in range(1, len(wt)):
+            starts.setdefault(wt[:blen], []).append(t)
+    alphabet = system.alphabet
     out = []
-    for s, rs in enumerate(system.rules):
-        ws = rs.lhs.letters
-        for t, rt in enumerate(system.rules):
-            wt = rt.lhs.letters
-            for blen in range(1, min(len(ws), len(wt))):
-                if ws[len(ws) - blen:] == wt[:blen]:
-                    alphabet = system.alphabet
-                    out.append(Ambiguity(
-                        OVERLAP, s, t,
-                        Word(alphabet, ws[:len(ws) - blen]),
-                        Word(alphabet, ws[len(ws) - blen:]),
-                        Word(alphabet, wt[blen:])))
+    for s, ws in enumerate(lhss):
+        cut = len(ws)
+        for t, blen in sorted((t, blen) for blen in range(1, cut)
+                              for t in starts.get(ws[cut - blen:], ())):
+            out.append(Ambiguity(
+                OVERLAP, s, t,
+                Word(alphabet, ws[:cut - blen]),
+                Word(alphabet, ws[cut - blen:]),
+                Word(alphabet, lhss[t][blen:])))
     return out
 
 
@@ -65,7 +73,7 @@ def enumerate_inclusions(system: ReductionSystem) -> list[Ambiguity]:
     """
     rules, alphabet = system._compiled, system.alphabet
     found = sorted((s, t, i) for t, (wt, _) in enumerate(rules)
-                   for i, s in _sites(wt, rules)
+                   for i, s in _sites(wt, system._left_sides)
                    if s != t and not (s > t and rules[s][0] == wt))
     return [Ambiguity(INCLUSION, s, t, Word(alphabet, rules[t][0][:i]),
                       system.rules[s].lhs,
@@ -265,11 +273,11 @@ def check_all(system: ReductionSystem, spec: OrderingSpec,
 def simplify_system(system: ReductionSystem) -> ReductionSystem:
     """Inclusion-free subsystem: drop rules whose lhs properly contains
     another rule's lhs, then keep only the first rule per left side."""
-    rules = system._compiled
+    rules, left_sides = system._compiled, system._left_sides
     kept, seen = [], set()
     for rule, (lhs, _) in zip(system.rules, rules):
         # a site of another left side inside lhs is proper unless it spans lhs
-        if lhs in seen or any(len(rules[j][0]) < len(lhs) for _, j in _sites(lhs, rules)):
+        if lhs in seen or any(len(rules[j][0]) < len(lhs) for _, j in _sites(lhs, left_sides)):
             continue
         seen.add(lhs)
         kept.append(rule)

@@ -36,7 +36,7 @@ from .rewrite import (
     format_trace,
     normal_form,
 )
-from .syntax import ExpressionError, format_polynomial, parse_polynomial, parse_word
+from .syntax import GENERATOR, ExpressionError, format_polynomial, parse_polynomial, parse_word
 
 BUDGET_ENV_VAR = "NCREWRITE_ORACLE_BUDGET"
 
@@ -100,8 +100,10 @@ def parse_presentation(text: str) -> Presentation:
             if names is not None:
                 raise PresentationError(lineno, "duplicate generators directive")
             names = [t.strip() for t in rest.split("<")]
-            if any(not n or " " in n for n in names):
-                raise PresentationError(lineno, f"bad generator list {rest!r}")
+            bad = next((n for n in names if not GENERATOR.fullmatch(n)), None)
+            if bad is not None:
+                raise PresentationError(
+                    lineno, f"bad generator list {rest!r}: {bad!r} is not a generator name")
             if len(set(names)) != len(names):
                 raise PresentationError(lineno, "duplicate generator")
         elif head == "weight":

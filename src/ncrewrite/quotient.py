@@ -50,9 +50,9 @@ class QuotientRing(namedtuple("QuotientRing", "system spec report")):
     def basis_words(self, max_degree: int) -> list[Word]:
         """Irreducible monomials of weighted degree <= max_degree, in
         ascending deglex order."""
-        rules = self.system._compiled
+        left_sides = self.system._left_sides
         words = [w for w in self.system.alphabet.words_up_to_degree(max_degree)
-                 if not any(_sites(w.letters, rules))]
+                 if not any(_sites(w.letters, left_sides))]
         words.sort(key=self.spec.sort_key)
         return words
 
@@ -86,7 +86,7 @@ def independence_check(s1: ReductionSystem, s2: ReductionSystem,
         raise QuotientError("full system must be confluent")
 
     witness = next((i for i, (lhs, _) in enumerate(s2._compiled)
-                    if not any(_sites(lhs, s1._compiled))), None)
+                    if not any(_sites(lhs, s1._left_sides))), None)
     # a compatible report has one verdict per ambiguity
     independent = () if report.verdicts else tuple(range(len(s2.rules)))
     return IndependenceVerdict(witness is not None, witness, independent)

@@ -7,7 +7,12 @@ One kernel works on a copy of the raw {letters: value} dict a Polynomial
 stores and wraps its result without converting a term; it finds sites and
 applies the step for apply_reduction, normal_form, is_irreducible and the
 oracle, and the ambiguity and quotient modules find left sides with the
-same site finder.  Under an order compatible with the system,
+same site finder.  A system compiles its left sides once, on construction,
+into one table {lhs letters: rule indices} with the distinct left-side
+lengths; the site finder looks word[i:i+m] up in it for each length m at
+each position i, so its cost per position grows with the number of
+distinct lengths, not of rules, and it yields the sites leftmost first,
+then by lowest rule index.  Under an order compatible with the system,
 normal_form's strategy always terminates.
 
 all_normal_forms ignores the order and returns every irreducible polynomial
@@ -73,8 +78,9 @@ class ReductionSystem:
         validate_system(self)
         object.__setattr__(self, "_compatibility", {})  # spec -> CompatibilityReport
         # the kernel's form of each rule: (lhs letters, ((letters, value), ...))
-        object.__setattr__(self, "_compiled", tuple(
-            (r.lhs.letters, tuple(r.rhs._terms.items())) for r in self.rules))
+        compiled = tuple((r.lhs.letters, tuple(r.rhs._terms.items())) for r in self.rules)
+        object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_left_sides", _lhs_table(lhs for lhs, _ in compiled))
 
 
 def validate_system(system: ReductionSystem) -> None:
@@ -111,14 +117,38 @@ def _terms(a: Polynomial, system: ReductionSystem) -> dict:
     return dict(a._terms)
 
 
-def _sites(word: tuple, rules):
-    """Sites (len(A), rule index) of a system's _compiled rules in word:
-    leftmost first, then lowest rule index.  The one left-side matcher; a
-    site is a nonempty tuple, so any(_sites(word, rules)) means reducible."""
-    for i in range(len(word)):
-        for idx, (lhs, _) in enumerate(rules):
-            if word[i:i + len(lhs)] == lhs:
-                yield i, idx
+def _lhs_table(lhss) -> tuple[dict, tuple]:
+    """The table _sites looks left sides up in: ({lhs letters: rule indices,
+    ascending}, the distinct left-side lengths, ascending)."""
+    table = {}
+    for idx, lhs in enumerate(lhss):
+        table[lhs] = table.get(lhs, ()) + (idx,)
+    return table, tuple(sorted({len(lhs) for lhs in table}))
+
+
+def _sites(word: tuple, left_sides):
+    """Sites (len(A), rule index) in word of the left sides in a system's
+    _left_sides table: leftmost first, then lowest rule index.  The one
+    left-side matcher; a site is a nonempty tuple, so
+    any(_sites(word, left_sides)) means reducible.
+
+    Each position costs one lookup of word[i:i+m] per distinct left-side
+    length m, up to the first m that runs past the end of the word, however
+    many rules there are; the indices are merged only when left sides of
+    two lengths start at one position.
+    """
+    table, lengths = left_sides
+    n = len(word)
+    for i in range(n):
+        hits = ()
+        for m in lengths:
+            if i + m > n:
+                break
+            found = table.get(word[i:i + m])
+            if found:
+                hits = sorted((*hits, *found)) if hits else found
+        for idx in hits:
+            yield i, idx
 
 
 def _reduce(terms: dict, system: ReductionSystem, word: tuple, i: int, idx: int):
@@ -144,7 +174,7 @@ def apply_reduction(a: Polynomial, system: ReductionSystem, occ: Occurrence) -> 
 
 
 def is_irreducible(a: Polynomial, system: ReductionSystem) -> bool:
-    return not any(any(_sites(w, system._compiled)) for w in _terms(a, system))
+    return not any(any(_sites(w, system._left_sides)) for w in _terms(a, system))
 
 
 class ReductionStep(namedtuple("ReductionStep", "occurrence coefficient")):
@@ -173,13 +203,13 @@ def normal_form(a: Polynomial, system: ReductionSystem,
 
     require_compatible(system, spec)
     terms = _terms(a, system)
-    rules = system._compiled
+    rules, left_sides = system._compiled, system._left_sides
     heap = [descending(w) for w in terms]
     heapify(heap)
     trace = []
     while heap:
         word = heappop(heap)[2]
-        site = next(_sites(word, rules), None) if word in terms else None
+        site = next(_sites(word, left_sides), None) if word in terms else None
         if site is None:
             continue
         i, idx = site
@@ -203,7 +233,7 @@ def _unique_value(start: dict, system: ReductionSystem, budget: int):
     Post-order walk with an explicit stack; a word met again while still on
     the walk's path closes a cycle, so reduction-finiteness is not shown.
     """
-    rules = system._compiled
+    left_sides = system._left_sides
     modulus = system.field.modulus
     memo = {}  # word -> r(word) as {letters: value}
     on_path = set()
@@ -216,7 +246,7 @@ def _unique_value(start: dict, system: ReductionSystem, budget: int):
             if len(memo) + len(on_path) >= budget:
                 return None
             reducts = []
-            for i, idx in _sites(word, rules):
+            for i, idx in _sites(word, left_sides):
                 reduct = {word: 1}
                 _reduce(reduct, system, word, i, idx)
                 reducts.append(reduct)
@@ -261,7 +291,7 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
     on visited polynomials; it raises BudgetExceededError when more than
     ``budget`` distinct states would be visited.
     """
-    rules = system._compiled
+    left_sides = system._left_sides
     start = _terms(a, system)
     value = _unique_value(start, system, budget)
     if value is not None:
@@ -273,7 +303,7 @@ def all_normal_forms(a: Polynomial, system: ReductionSystem,
         state = stack.pop()
         successors = []
         for word in state:
-            for i, idx in _sites(word, rules):
+            for i, idx in _sites(word, left_sides):
                 new = dict(state)
                 _reduce(new, system, word, i, idx)
                 successors.append(new)

@@ -36,9 +36,10 @@ class ExpressionError(Exception):
         self.column = column
 
 
+GENERATOR = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # every name an expression can read
 _OPERATOR = re.compile(r"\s*([-+*]?)\s*")
 # a missing d or k matches as empty, so it is reported where it is missing
-_FACTOR = re.compile(r"(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
+_FACTOR = re.compile(rf"(?:(?P<name>{GENERATOR.pattern})|(?P<num>\d+)"
                      r"(?:\s*/\s*(?P<den>\d*))?)(?:\s*\^\s*(?P<exp>\d*))?")
 
 

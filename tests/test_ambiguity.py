@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncrewrite.ambiguity import (
     INCLUSION,
+    Ambiguity,
     OVERLAP,
     check_all,
     check_resolvable,
@@ -17,7 +20,7 @@ from ncrewrite.cli import parse_presentation
 from ncrewrite.coeff import FieldDescriptor, RATIONALS
 from ncrewrite.freealg import Alphabet, Polynomial, Word
 from ncrewrite.order import LT, OrderingSpec, deglex_compare
-from ncrewrite.rewrite import ReductionSystem, Rule, all_normal_forms
+from ncrewrite.rewrite import BudgetExceededError, ReductionSystem, Rule, all_normal_forms
 from ncrewrite.syntax import parse_polynomial
 
 from conftest import contains
@@ -102,6 +105,42 @@ def test_enumeration_complete_random_systems():
         ov, inc = _brute_force_counts(system)
         assert len(enumerate_overlaps(system)) == ov
         assert len(enumerate_inclusions(system)) == inc
+
+
+def naive_overlaps(system):
+    """Reference for enumerate_overlaps: every ordered pair of rules, every
+    overlap length, in that order."""
+    out = []
+    for s, rs in enumerate(system.rules):
+        ws = rs.lhs.letters
+        for t, rt in enumerate(system.rules):
+            wt = rt.lhs.letters
+            for blen in range(1, min(len(ws), len(wt))):
+                if ws[len(ws) - blen:] == wt[:blen]:
+                    out.append(Ambiguity(
+                        OVERLAP, s, t,
+                        Word(system.alphabet, ws[:len(ws) - blen]),
+                        Word(system.alphabet, ws[len(ws) - blen:]),
+                        Word(system.alphabet, wt[blen:])))
+    return out
+
+
+def test_overlaps_match_naive_reference_in_order():
+    rng = random.Random(1975)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(2, 3)
+        alphabet = Alphabet(tuple("abc"[:n]))
+        lhss = []
+        for _ in range(rng.randint(1, 5)):
+            lhss.append(rng.choice(lhss) if lhss and rng.random() < 0.2 else
+                        tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))))
+        system = ReductionSystem(alphabet, RATIONALS, tuple(
+            Rule(Word(alphabet, lhs), Polynomial.zero(RATIONALS, alphabet)) for lhs in lhss))
+        overlaps = enumerate_overlaps(system)
+        assert overlaps == naive_overlaps(system)
+        found += len(overlaps) > 1
+    assert 0 < found < 200
 
 
 def test_resolvable_commuting(comm3):
@@ -355,3 +394,57 @@ def test_simplify_random_injected_inclusions():
             reducible_slim = any(contains(word, r.lhs)
                                  for r in simplified.rules)
             assert reducible_full == reducible_slim
+
+
+@st.composite
+def compatible_systems(draw):
+    """Q or F 7, 2-3 letters, 1-4 rules with left sides of 1-3 letters, each
+    right side a combination of at most two words below its left side in
+    deglex, so the order is compatible."""
+    field = draw(st.sampled_from([RATIONALS, FieldDescriptor(7)]))
+    values = (st.sampled_from([1, -1, 2, Fraction(1, 2)]) if field.is_rationals
+              else st.integers(1, 6))
+    n = draw(st.integers(2, 3))
+    alphabet = Alphabet(tuple("abc"[:n]))
+    spec = OrderingSpec(alphabet, alphabet.symbols)
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = Word(alphabet, tuple(draw(st.lists(st.integers(0, n - 1),
+                                                 min_size=1, max_size=3))))
+        below = [w for w in alphabet.words_up_to_degree(len(lhs))
+                 if deglex_compare(w, lhs, spec) == LT]
+        words = draw(st.lists(st.sampled_from(below), max_size=2, unique=True))
+        rules.append(Rule(lhs, Polynomial(field, alphabet, {
+            w: field.coeff(draw(values)) for w in words})))
+    return ReductionSystem(alphabet, field, tuple(rules)), spec
+
+
+def test_diamond_lemma_three_ways():
+    """Bergman's Theorem 1.2 under a compatible order: every ambiguity
+    resolves (check_all), every ambiguity resolves relative to the order,
+    and every ambiguity word has one normal form by the oracle, all or
+    none.  Draws where the oracle exceeds its budget are skipped and
+    counted."""
+    counts = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(compatible_systems())
+    def agree(case):
+        system, spec = case
+        report = check_all(system, spec)
+        assert report.compatible
+        ambs = [v.ambiguity for v in report.verdicts]
+        relative = all(check_resolvable_relative(a, system, spec).resolvable for a in ambs)
+        try:
+            unique = all(len(all_normal_forms(Polynomial.monomial(a.word, system.field.one()),
+                                              system, budget=2_000)) == 1
+                         for a in ambs)
+        except BudgetExceededError:
+            counts["skipped"] += 1
+            return
+        assert report.confluent == relative == unique
+        counts[report.confluent] += 1
+
+    agree()
+    assert counts[True] > 0 and counts[False] > 0
+    assert counts["skipped"] * 10 <= counts[True] + counts[False], counts

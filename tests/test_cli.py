@@ -19,6 +19,7 @@ from ncrewrite.freealg import Alphabet, Polynomial, Word
 from ncrewrite.order import OrderingSpec
 from ncrewrite.rewrite import ReductionSystem, Rule
 from ncrewrite.syntax import (
+    GENERATOR,
     MAX_POWER_LETTERS,
     ExpressionError,
     format_polynomial,
@@ -131,6 +132,27 @@ def test_polynomial_format_parse_roundtrip(case):
 @given(presentations())
 def test_presentation_format_parse_roundtrip(case):
     p, _ = case
+    assert parse_presentation(format_presentation(p)) == p
+
+
+@pytest.mark.parametrize("generators", ["a*b < c", "x-y < z", "2 < x"])
+def test_generator_names_the_grammar_cannot_read_are_refused(capsys, tmp_path, generators):
+    path = tmp_path / "bad.pres"
+    path.write_text(f"field Q\ngenerators {generators}\nrule x*x -> 0\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 2: bad generator list")
+
+
+@given(st.lists(st.from_regex(GENERATOR, fullmatch=True), min_size=1, max_size=4,
+                unique=True))
+def test_every_name_the_grammar_reads_round_trips(names):
+    alphabet = Alphabet(tuple(names))
+    last = Word(alphabet, (len(names) - 1,))
+    rhs = Polynomial.monomial(Word(alphabet, (0,)), FieldDescriptor().one())
+    system = ReductionSystem(alphabet, FieldDescriptor(), (Rule(last * last, rhs),))
+    p = Presentation(FieldDescriptor(), alphabet, OrderingSpec(alphabet, tuple(names)),
+                     system)
     assert parse_presentation(format_presentation(p)) == p
 
 

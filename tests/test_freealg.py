@@ -16,7 +16,7 @@ from ncrewrite.freealg import (
     Polynomial,
     Word,
 )
-from ncrewrite.rewrite import InvalidSystemError, ReductionSystem, Rule, _sites
+from ncrewrite.rewrite import InvalidSystemError, ReductionSystem, Rule, _lhs_table, _sites
 from ncrewrite.syntax import parse_polynomial
 
 from conftest import EmptyPatternError, NaivePolynomial, occurrences_of
@@ -55,10 +55,10 @@ def test_concat_alphabet_mismatch():
 
 def sites(word, *patterns):
     """rewrite._sites of patterns, taken as left sides, as (A, index, B)."""
-    rules = [(pattern.letters, ()) for pattern in patterns]
+    lhss = [pattern.letters for pattern in patterns]
     return [(Word(word.alphabet, word.letters[:i]), idx,
-             Word(word.alphabet, word.letters[i + len(rules[idx][0]):]))
-            for i, idx in _sites(word.letters, rules)]
+             Word(word.alphabet, word.letters[i + len(lhss[idx]):]))
+            for i, idx in _sites(word.letters, _lhs_table(lhss))]
 
 
 def test_occurrences_overlapping():

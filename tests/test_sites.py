@@ -11,7 +11,7 @@ from ncrewrite.coeff import RATIONALS
 from ncrewrite.freealg import Alphabet, Polynomial, Word
 from ncrewrite.order import OrderingSpec
 from ncrewrite.quotient import QuotientRing, independence_check
-from ncrewrite.rewrite import ReductionSystem, Rule
+from ncrewrite.rewrite import ReductionSystem, Rule, _sites, normal_form
 
 from conftest import contains, load, occurrences_of
 
@@ -120,3 +120,65 @@ def test_basis_matches_naive_matcher_on_shipped_presentations(name):
     p = load(name)
     ring = QuotientRing.build(p.system, p.ordering)
     assert ring.basis_words(6) == naive_basis(p.system, p.ordering, 6)
+
+
+def nested_system(rng):
+    """2-3 letters, 1-5 left sides of length 1-4, every right side 0; a left
+    side is often a copy or a subword of an earlier one, so duplicate and
+    nested left sides are common."""
+    n = rng.randint(2, 3)
+    alphabet = Alphabet(tuple("abc"[:n]))
+    lhss = []
+    for _ in range(rng.randint(1, 5)):
+        if lhss and rng.random() < 0.4:
+            w = rng.choice(lhss)
+            i = rng.randrange(len(w))
+            lhs = w if rng.random() < 0.3 else w[i:rng.randint(i + 1, len(w))]
+        else:
+            lhs = tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
+        lhss.append(lhs)
+    rules = tuple(Rule(Word(alphabet, lhs), Polynomial.zero(RATIONALS, alphabet))
+                  for lhs in lhss)
+    return ReductionSystem(alphabet, RATIONALS, rules), OrderingSpec(alphabet, alphabet.symbols)
+
+
+def naive_sites(word, system):
+    """Every (len(A), rule index) with word = A W B, by the naive matcher,
+    leftmost first, then lowest rule index."""
+    return sorted((len(prefix), idx) for idx, rule in enumerate(system.rules)
+                  for prefix, _ in occurrences_of(word, rule.lhs))
+
+
+def test_sites_match_naive_matcher():
+    rng = random.Random(1975 + 1978)
+    shapes = set()
+    for _ in range(200):
+        system, spec = nested_system(rng)
+        lhss = [r.lhs.letters for r in system.rules]
+        shapes.add((len(set(lhss)) < len(lhss),
+                    any(u != v and contains(Word(system.alphabet, v), Word(system.alphabet, u))
+                        for u in lhss for v in lhss)))
+        n = len(system.alphabet.symbols)
+        for _ in range(10):
+            word = Word(system.alphabet,
+                        tuple(rng.randrange(n) for _ in range(rng.randint(0, 8))))
+            expected = naive_sites(word, system)
+            assert list(_sites(word.letters, system._left_sides)) == expected
+            # with right sides 0 the word is the only monomial, reduced first
+            trace = normal_form(Polynomial.monomial(word, RATIONALS.one()), system, spec).trace
+            if expected:
+                i, idx = expected[0]
+                occ = trace[0].occurrence
+                assert (len(occ.prefix), occ.rule) == (i, idx)
+                assert occ.prefix * system.rules[idx].lhs * occ.suffix == word
+            else:
+                assert trace == ()
+    assert shapes == {(d, n) for d in (False, True) for n in (False, True)}
+
+
+def test_sites_of_two_lengths_at_the_end_of_a_word():
+    # at the last position word[1:3] is (b,): a lookup of length 2 there
+    # must not find the left side b a second time
+    p = parse_presentation("field Q\ngenerators a < b\nrule b -> 0\nrule a*b -> 0\n")
+    assert list(_sites(p.alphabet.word("a", "b").letters, p.system._left_sides)) == [
+        (0, 1), (1, 0)]
