@@ -9,22 +9,23 @@ connected component, reached by every maximal path.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+
+from .coeff import Value, _set
 
 
 class GraphError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
-    vertices: frozenset
-    edges: frozenset  # of (source, target) pairs
+class OrientedGraph(Value):
+    __slots__ = _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+    def __init__(self, vertices: frozenset, edges: frozenset):  # edges: (source, target)
+        for u, v in edges:
+            if u not in vertices or v not in vertices:
                 raise GraphError(f"edge ({u}, {v}) leaves the vertex set")
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, edges, vertices=()) -> "OrientedGraph":

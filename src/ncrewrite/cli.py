@@ -24,7 +24,7 @@ from .ambiguity import ambiguities, check_all, simplify_system
 from .arw import GraphError, newman_verdict, parse_graph
 from .coeff import CoefficientError, FieldDescriptor
 from .freealg import Alphabet
-from .order import OrderingSpec
+from .order import OrderingSpec, format_violations
 from .quotient import QuotientError, QuotientRing, independence_check
 from .rewrite import (
     BudgetExceededError,
@@ -181,9 +181,16 @@ def _emit(data: dict, human: str, fmt: str):
         print(human)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:  # a ValueError, not an OSError
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _load_presentation(path: str) -> Presentation:
-    with open(path, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return parse_presentation(_read(path))
 
 
 def cmd_check(p: Presentation, args) -> int:
@@ -192,8 +199,7 @@ def cmd_check(p: Presentation, args) -> int:
         _emit({"verdict": "incompatible",
                "violations": [{"rule": i, "monomial": str(w)}
                               for i, w in report.compatibility.violations]},
-              "incompatible: " + ", ".join(
-                  f"rule {i} monomial {w}" for i, w in report.compatibility.violations),
+              "incompatible: " + format_violations(report.compatibility),
               args.format)
         return 2
     verdicts = [_ambiguity_dict(v.ambiguity, p, v) for v in report.verdicts]
@@ -308,8 +314,7 @@ def cmd_independent(p: Presentation, args) -> int:
 
 
 def cmd_graph(args) -> int:
-    with open(args.edge_file, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(args.edge_file)
     try:
         graph = parse_graph(text)
     except GraphError as exc:  # newman_verdict's GraphError would be a fault

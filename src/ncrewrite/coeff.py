@@ -1,13 +1,12 @@
-"""Exact coefficient arithmetic: arbitrary-precision rationals and prime fields.
-
-Every scalar carries its field descriptor; mixing fields raises rather
-than coercing, so arithmetic bugs surface at the first bad operation.
+"""The ground field, Q or F_p, its canonical elements, and Value, the
+immutable base of ncrewrite's value types.  A Coefficient has no
+arithmetic: ncrewrite computes on the raw values it carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class CoefficientError(Exception):
@@ -55,31 +54,68 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+_set = object.__setattr__  # how a value's __init__ sets each of its slots, once
+
+
+class Value:
+    """Immutable base of the value types.  A subclass names its fields in
+    _fields and sets them, and its derived slots, in __init__ through _set.
+    As for a frozen dataclass, a value equals only a value of its own class
+    with equal fields, hashes as the tuple of its fields, and refuses
+    assignment and deletion with AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):  # _key(value): the tuple of its fields, at C speed
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a value through __init__
+        return type(self), self._key(self)
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} is read-only")
+
+    __setattr__ = __delattr__ = _immutable
+
+
+class FieldDescriptor(Value):
     """The ground field: the rationals (modulus None) or F_p for a prime p."""
 
-    modulus: int | None = None
+    __slots__ = _fields = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise CoefficientError(f"modulus {self.modulus} is not prime")
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None and not _is_prime(modulus):
+            raise CoefficientError(f"modulus {modulus} is not prime")
+        _set(self, "modulus", modulus)
 
     @property
     def is_rationals(self) -> bool:
         return self.modulus is None
 
     def coeff(self, value) -> "Coefficient":
-        """Canonical field element from an int, Fraction or '1/2'-style string."""
-        if self.is_rationals:
+        """Canonical field element from an int or Fraction (over Q also a '1/2' string)."""
+        p = self.modulus
+        if p is None:
             return Coefficient(self, Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                value = value.numerator
-            else:
-                num = self.coeff(value.numerator)
-                return num / self.coeff(value.denominator)
-        return Coefficient(self, int(value) % self.modulus)
+        if not isinstance(value, Fraction):
+            return Coefficient(self, int(value) % p)
+        if not value.denominator % p:
+            raise ZeroInversionError(f"cannot invert {value.denominator} in {self}")
+        return Coefficient(self, value.numerator * pow(value.denominator, -1, p) % p)
 
     def zero(self) -> "Coefficient":
         return self.coeff(0)
@@ -94,53 +130,16 @@ class FieldDescriptor:
 RATIONALS = FieldDescriptor()
 
 
-@dataclass(frozen=True)
-class Coefficient:
-    """An element of the active field, always in canonical form.
+class Coefficient(Value):
+    """An element of the active field; FieldDescriptor.coeff builds it in
+    canonical form: a normalized Fraction over Q, a residue in [0, p) over
+    F_p.  Zero tests are ``bool(c)``."""
 
-    Rationals are normalized Fractions; prime-field elements are residues
-    in [0, p).  Zero tests are ``bool(c)``.
-    """
+    __slots__ = _fields = ("field", "value")
 
-    field: FieldDescriptor
-    value: Fraction | int
-
-    def _check(self, other: "Coefficient"):
-        if not isinstance(other, Coefficient):
-            raise TypeError(f"expected Coefficient, got {type(other).__name__}")
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def _wrap(self, value) -> "Coefficient":
-        if self.field.is_rationals:
-            return Coefficient(self.field, value)
-        return Coefficient(self.field, value % self.field.modulus)
-
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap(self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap(self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return self._wrap(self.value * other.value)
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def inv(self) -> "Coefficient":
-        if not self:
-            raise ZeroInversionError("cannot invert zero")
-        if self.field.is_rationals:
-            return Coefficient(self.field, 1 / self.value)
-        return Coefficient(self.field, pow(self.value, -1, self.field.modulus))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
+    def __init__(self, field: FieldDescriptor, value: Fraction | int):
+        _set(self, "field", field)
+        _set(self, "value", value)
 
     def __bool__(self) -> bool:
         return self.value != 0

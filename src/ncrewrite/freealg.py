@@ -12,10 +12,10 @@ values, so they hash and compare structurally.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from .coeff import Coefficient, FieldDescriptor, FieldMismatchError
+from .coeff import Coefficient, CoefficientError, FieldDescriptor, FieldMismatchError, Value, _set
 
 
 class FreeAlgebraError(Exception):
@@ -26,24 +26,23 @@ class AlphabetMismatchError(FreeAlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Ordered generator names with positive integer weights (default 1)."""
 
-    symbols: tuple[str, ...]
-    weights: tuple[int, ...] = ()
+    __slots__ = _fields = ("symbols", "weights")
 
-    def __post_init__(self):
-        if not self.weights:
-            object.__setattr__(self, "weights", (1,) * len(self.symbols))
-        if len(self.weights) != len(self.symbols):
+    def __init__(self, symbols: tuple[str, ...], weights: tuple[int, ...] = ()):
+        weights = weights or (1,) * len(symbols)
+        if len(weights) != len(symbols):
             raise FreeAlgebraError("one weight per symbol required")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise FreeAlgebraError("duplicate generator names")
-        if any(not s for s in self.symbols):
+        if any(not s for s in symbols):
             raise FreeAlgebraError("empty generator name")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise FreeAlgebraError("weights must be >= 1")
+        _set(self, "symbols", symbols)
+        _set(self, "weights", weights)
 
     def word(self, *names: str) -> "Word":
         try:
@@ -65,12 +64,14 @@ class Alphabet:
                     yield w
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A monomial of the free semigroup; length 0 encodes the identity 1."""
 
-    alphabet: Alphabet
-    letters: tuple[int, ...]
+    __slots__ = _fields = ("alphabet", "letters")
+
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]):
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", letters)
 
     def _check(self, other: "Word"):
         if self.alphabet != other.alphabet:
@@ -132,8 +133,11 @@ class Polynomial:
                 raise AlphabetMismatchError("a word over another alphabet than the polynomial")
             if c.field != field:
                 raise FieldMismatchError("a coefficient over another field than the polynomial")
-            if c:
-                self._terms[w.letters] = c.value
+            value, p = c.value, field.modulus  # the kernel relies on canonical values
+            if type(value) not in ((int,) if p else (int, Fraction)) or p and not 0 <= value < p:
+                raise CoefficientError(f"{value!r} is not a canonical element of {field}")
+            if value:
+                self._terms[w.letters] = value
 
     @classmethod
     def _raw(cls, field: FieldDescriptor, alphabet: Alphabet, terms: dict) -> "Polynomial":
@@ -189,7 +193,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return self.scale(-self.field.one())
+        return self.scale(self.field.coeff(-1))
 
     def scale(self, coeff: Coefficient) -> "Polynomial":
         if coeff.field != self.field:

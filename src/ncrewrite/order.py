@@ -8,8 +8,8 @@ descending chain condition: only finitely many words sit below any word.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
+from .coeff import Value, _set
 from .freealg import Alphabet, AlphabetMismatchError, Word
 
 LT, EQ, GT = -1, 0, 1
@@ -19,18 +19,18 @@ class OrderingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
+class OrderingSpec(Value):
     """Generator precedence (increasing) over an alphabet; weights come from it."""
 
-    alphabet: Alphabet
-    precedence: tuple[str, ...]
+    _fields = ("alphabet", "precedence")
+    __slots__ = (*_fields, "_ranks")
 
-    def __post_init__(self):
-        if sorted(self.precedence) != sorted(self.alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, precedence: tuple[str, ...]):
+        if sorted(precedence) != sorted(alphabet.symbols):
             raise OrderingError("precedence must be a permutation of the alphabet")
-        object.__setattr__(self, "_ranks", tuple(  # rank of each letter index
-            self.precedence.index(s) for s in self.alphabet.symbols))
+        _set(self, "alphabet", alphabet)
+        _set(self, "precedence", precedence)
+        _set(self, "_ranks", tuple(map(precedence.index, alphabet.symbols)))  # of each letter
 
     def sort_key(self, word: Word):
         """Total-order key: ascending deglex."""
@@ -68,3 +68,8 @@ def check_compatibility(system, spec: OrderingSpec) -> CompatibilityReport:
             if deglex_compare(z, rule.lhs, spec) != LT:
                 violations.append((idx, z))
     return CompatibilityReport(not violations, tuple(violations))
+
+
+def format_violations(report: CompatibilityReport) -> str:
+    """``rule i monomial z`` for each violation, comma-separated."""
+    return ", ".join(f"rule {i} monomial {z}" for i, z in report.violations)

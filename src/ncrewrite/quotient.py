@@ -12,7 +12,7 @@ from collections import namedtuple
 from .ambiguity import check_all
 from .freealg import Polynomial, Word
 from .order import OrderingSpec
-from .rewrite import ReductionSystem, _sites, is_irreducible, normal_form
+from .rewrite import ReductionSystem, _sites, is_irreducible, normal_form, require_compatible
 
 
 class QuotientError(Exception):
@@ -30,6 +30,7 @@ class QuotientRing(namedtuple("QuotientRing", "system spec report")):
 
     @classmethod
     def build(cls, system: ReductionSystem, spec: OrderingSpec) -> "QuotientRing":
+        require_compatible(system, spec)  # IncompatibleSystemError, as for normal_form
         report = check_all(system, spec)
         if not report.confluent:
             raise NotConfluentError("system is not confluent under this ordering")
@@ -79,9 +80,8 @@ def independence_check(s1: ReductionSystem, s2: ReductionSystem,
     for rule in s1.rules:
         if rule not in s2.rules:
             raise QuotientError("rules of the subsystem must occur in the full system")
+    require_compatible(s2, spec)
     report = check_all(s2, spec)
-    if not report.compatible:
-        raise QuotientError("full system must be compatible with the ordering")
     if not report.confluent:
         raise QuotientError("full system must be confluent")
 

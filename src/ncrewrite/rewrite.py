@@ -30,12 +30,11 @@ non-confluent and cyclic systems.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .coeff import Coefficient, FieldDescriptor
+from .coeff import Coefficient, FieldDescriptor, Value, _set
 from .freealg import Alphabet, FreeAlgebraError, Occurrence, Polynomial, Word, add_scaled
-from .order import CompatibilityReport, OrderingSpec, check_compatibility
+from .order import CompatibilityReport, OrderingSpec, check_compatibility, format_violations
 from .syntax import format_coefficient
 
 
@@ -66,21 +65,21 @@ DEFAULT_ORACLE_BUDGET = 10_000
 Rule = namedtuple("Rule", "lhs rhs")
 
 
-@dataclass(frozen=True)
-class ReductionSystem:
+class ReductionSystem(Value):
     """Rules W_sigma -> f_sigma over one alphabet and field; validated on construction."""
 
-    alphabet: Alphabet
-    field: FieldDescriptor
-    rules: tuple[Rule, ...]
+    _fields = ("alphabet", "field", "rules")
+    __slots__ = (*_fields, "_compatibility", "_compiled", "_left_sides")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, field: FieldDescriptor, rules: tuple[Rule, ...]):
+        _set(self, "alphabet", alphabet)
+        _set(self, "field", field)
+        _set(self, "rules", rules)
         validate_system(self)
-        object.__setattr__(self, "_compatibility", {})  # spec -> CompatibilityReport
+        _set(self, "_compatibility", {})  # spec -> CompatibilityReport
         # the kernel's form of each rule: (lhs letters, ((letters, value), ...))
-        compiled = tuple((r.lhs.letters, tuple(r.rhs._terms.items())) for r in self.rules)
-        object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_left_sides", _lhs_table(lhs for lhs, _ in compiled))
+        _set(self, "_compiled", tuple((r.lhs.letters, tuple(r.rhs._terms.items())) for r in rules))
+        _set(self, "_left_sides", _lhs_table(lhs for lhs, _ in self._compiled))
 
 
 def validate_system(system: ReductionSystem) -> None:
@@ -107,7 +106,7 @@ def require_compatible(system: ReductionSystem, spec: OrderingSpec) -> None:
     report = compatibility(system, spec)
     if not report.compatible:
         raise IncompatibleSystemError(
-            f"system not compatible with the ordering: {report.violations}")
+            f"system not compatible with the ordering: {format_violations(report)}")
 
 
 def _terms(a: Polynomial, system: ReductionSystem) -> dict:

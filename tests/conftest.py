@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from ncrewrite.cli import Presentation, parse_presentation
+from ncrewrite.coeff import Coefficient, FieldMismatchError, ZeroInversionError
 from ncrewrite.freealg import AlphabetMismatchError, FreeAlgebraError, Word
 
 PRESENTATIONS = pathlib.Path(__file__).resolve().parent.parent / "presentations"
@@ -34,7 +35,51 @@ def contains(word: Word, pattern: Word) -> bool:
     return bool(occurrences_of(word, pattern))
 
 
-# Naive reference polynomial: {Word: Coefficient} with Coefficient
+# Reference scalar arithmetic on Coefficients, which carry none: ncrewrite
+# computes on raw values.  Both operands must be Coefficients of one field;
+# results are canonical.  The naive references below compute with it.
+
+def _field(a, b):
+    if not (isinstance(a, Coefficient) and isinstance(b, Coefficient)):
+        raise TypeError(f"expected Coefficients, got {type(a).__name__}, {type(b).__name__}")
+    if a.field != b.field:
+        raise FieldMismatchError(f"{a.field} vs {b.field}")
+    return a.field
+
+
+def _wrap(field, value):
+    return Coefficient(field, value if field.is_rationals else value % field.modulus)
+
+
+def add(a, b):
+    return _wrap(_field(a, b), a.value + b.value)
+
+
+def sub(a, b):
+    return _wrap(_field(a, b), a.value - b.value)
+
+
+def mul(a, b):
+    return _wrap(_field(a, b), a.value * b.value)
+
+
+def neg(a):
+    return _wrap(a.field, -a.value)
+
+
+def inv(a):
+    if not a:
+        raise ZeroInversionError("cannot invert zero")
+    if a.field.is_rationals:
+        return Coefficient(a.field, 1 / a.value)
+    return Coefficient(a.field, pow(a.value, -1, a.field.modulus))
+
+
+def div(a, b):
+    return mul(a, inv(b))
+
+
+# Naive reference polynomial: {Word: Coefficient} with the reference scalar
 # arithmetic, as Polynomial was before it kept the kernel's raw
 # {letters: value} terms.  Tests compare Polynomial's arithmetic with it.
 
@@ -58,7 +103,7 @@ class NaivePolynomial:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             s = terms.get(w)
-            terms[w] = c if s is None else s + c
+            terms[w] = c if s is None else add(s, c)
         return NaivePolynomial(self.field, self.alphabet, terms)
 
     def __sub__(self, other):
@@ -66,13 +111,13 @@ class NaivePolynomial:
 
     def __neg__(self):
         return NaivePolynomial(self.field, self.alphabet,
-                               {w: -c for w, c in self.terms.items()})
+                               {w: neg(c) for w, c in self.terms.items()})
 
     def scale(self, coeff):
         if not coeff:
             return NaivePolynomial(self.field, self.alphabet)
         return NaivePolynomial(self.field, self.alphabet,
-                               {w: coeff * c for w, c in self.terms.items()})
+                               {w: mul(coeff, c) for w, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -80,9 +125,9 @@ class NaivePolynomial:
         for u, a in self.terms.items():
             for v, b in other.terms.items():
                 w = u * v
-                c = a * b
+                c = mul(a, b)
                 s = terms.get(w)
-                terms[w] = c if s is None else s + c
+                terms[w] = c if s is None else add(s, c)
         return NaivePolynomial(self.field, self.alphabet, terms)
 
     def sandwich(self, left, right):

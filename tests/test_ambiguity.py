@@ -23,7 +23,7 @@ from ncrewrite.order import LT, OrderingSpec, deglex_compare
 from ncrewrite.rewrite import BudgetExceededError, ReductionSystem, Rule, all_normal_forms
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import contains
+from conftest import contains, inv, mul, sub
 
 
 def expr(text, p):
@@ -207,7 +207,8 @@ def test_plain_and_relative_agree(fixture, request):
 
 def dense_solve(columns: list[Polynomial], target: Polynomial, field):
     """Solve sum x_j * columns[j] = target by dense Gauss-Jordan elimination
-    over Coefficient objects; None if inconsistent.  The slow reference."""
+    over Coefficient objects with the reference scalar arithmetic; None if
+    inconsistent.  The slow reference."""
     words = set(target.words())
     for col in columns:
         words.update(col.words())
@@ -227,12 +228,12 @@ def dense_solve(columns: list[Polynomial], target: Polynomial, field):
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][j].inv()
-        matrix[r] = [x * inv for x in matrix[r]]
+        inverse = inv(matrix[r][j])
+        matrix[r] = [mul(x, inverse) for x in matrix[r]]
         for i in range(len(matrix)):
             if i != r and matrix[i][j]:
                 factor = matrix[i][j]
-                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[r])]
+                matrix[i] = [sub(x, mul(factor, y)) for x, y in zip(matrix[i], matrix[r])]
         pivots.append(j)
         r += 1
     for i in range(r, len(matrix)):

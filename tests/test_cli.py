@@ -184,6 +184,39 @@ def test_check_incompatible_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+INCOMPATIBLE = "field Q\ngenerators x < y\nrule x*y -> y*x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("nf", "x*y"), ("mul", "x", "y"), ("member", "x"),
+    ("basis", "--max-degree", "2"), ("independent", "SELF")],
+    ids=["check", "nf", "mul", "member", "basis", "independent"])
+def test_every_command_exits_2_on_an_incompatible_system(capsys, tmp_path, argv):
+    path = tmp_path / "incompatible.pres"
+    path.write_text(INCOMPATIBLE)
+    argv = [str(path) if a == "SELF" else a for a in argv]
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    if argv[0] == "check":
+        assert out == "incompatible: rule 0 monomial y*x\n"
+    else:
+        assert (out, err) == ("", "error: system not compatible with the ordering: "
+                                  "rule 0 monomial y*x\n")
+
+
+@pytest.mark.parametrize("command", ["check", "independent", "graph"])
+def test_a_file_that_is_not_utf8_exits_3_naming_it(capsys, tmp_path, command):
+    good, bad = tmp_path / "good.pres", tmp_path / "bad.txt"
+    good.write_text("field Q\ngenerators x < y\nrule y*x -> x*y\n")
+    line = b"a -> \xff\n" if command == "graph" else b"rule y*x -> \xff*x*y\n"
+    bad.write_bytes(b"field Q\ngenerators x < y\n" + line)
+    argv = {"check": ["check", str(bad)], "graph": ["graph", str(bad)],
+            "independent": ["independent", str(good), str(bad)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {bad}: ") and "0xff" in err and "Traceback" not in err
+
+
 def test_nf_command(capsys):
     code, out, _ = run(capsys, "nf", pres("weyl.pres"), "y*x*y*x")
     assert code == 0

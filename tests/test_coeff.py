@@ -15,6 +15,8 @@ from ncrewrite.coeff import (
     _is_prime,
 )
 
+from conftest import add, div, inv, mul, neg, sub
+
 F7 = FieldDescriptor(7)
 
 
@@ -22,42 +24,67 @@ def q(value):
     return RATIONALS.coeff(value)
 
 
+# The scalar arithmetic is the tests' reference (conftest); ncrewrite's
+# Coefficient carries none.
+
 def test_rational_add():
-    assert q(Fraction(1, 2)) + q(Fraction(1, 3)) == q(Fraction(5, 6))
+    assert add(q(Fraction(1, 2)), q(Fraction(1, 3))) == q(Fraction(5, 6))
 
 
 def test_prime_field_mul_wraps():
-    assert F7.coeff(3) * F7.coeff(5) == F7.coeff(1)
+    assert mul(F7.coeff(3), F7.coeff(5)) == F7.coeff(1)
 
 
 def test_additive_inverse():
     a = q(Fraction(7, 3))
-    assert not (a + (-a))
+    assert not add(a, neg(a))
 
 
 def test_inv_rational():
-    assert q(Fraction(3, 4)).inv() == q(Fraction(4, 3))
+    assert inv(q(Fraction(3, 4))) == q(Fraction(4, 3))
 
 
 def test_inv_prime_field():
-    inv = F7.coeff(3).inv()
-    assert inv == F7.coeff(5)
-    assert F7.coeff(3) * inv == F7.one()
+    inverse = inv(F7.coeff(3))
+    assert inverse == F7.coeff(5)
+    assert mul(F7.coeff(3), inverse) == F7.one()
 
 
 def test_inv_one():
     for field in (RATIONALS, F7):
-        assert field.one().inv() == field.one()
+        assert inv(field.one()) == field.one()
 
 
 def test_inv_zero_raises():
     with pytest.raises(ZeroInversionError):
-        RATIONALS.zero().inv()
+        inv(RATIONALS.zero())
 
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        q(1) + F7.coeff(1)
+        add(q(1), F7.coeff(1))
+
+
+def test_coefficient_has_no_arithmetic():
+    a = F7.coeff(3)
+    for op in (lambda: a + a, lambda: a * a, lambda: a - a, lambda: -a, lambda: a / a,
+               lambda: 3 * a):
+        with pytest.raises(TypeError):
+            op()
+    assert not hasattr(a, "inv")
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (3, 4), (-5, 3), (6, 1), (0, 5), (10, 3), (-1, 6)])
+def test_prime_field_fraction_is_numerator_over_denominator(n, d):
+    assert F7.coeff(Fraction(n, d)) == div(F7.coeff(n), F7.coeff(d))
+    assert 0 <= F7.coeff(Fraction(n, d)).value < 7
+
+
+def test_prime_field_fraction_over_a_multiple_of_p_raises():
+    with pytest.raises(ZeroInversionError):
+        FieldDescriptor(7).coeff(Fraction(1, 7))
+    with pytest.raises(ZeroInversionError):
+        F7.coeff(Fraction(3, 14))
 
 
 def test_nonprime_modulus_rejected():
@@ -99,15 +126,15 @@ residues = st.integers(0, 6).map(F7.coeff)
     st.tuples(residues, residues, residues)))
 def test_field_axioms(triple):
     a, b, c = triple
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a - a == a.field.zero()
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert sub(a, a) == a.field.zero()
 
 
 @given(st.one_of(rationals, residues))
 def test_double_inverse(a):
     if a:
-        assert a.inv().inv() == a
+        assert inv(inv(a)) == a

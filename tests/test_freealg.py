@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncrewrite.coeff import (
     RATIONALS,
+    Coefficient,
     CoefficientError,
     FieldDescriptor,
     FieldMismatchError,
@@ -210,6 +211,20 @@ def test_arithmetic_matches_naive_reference(field, data):
         assert (p1 == p2) == (n1 == n2)
         if p1 == p2:
             assert hash(p1) == hash(p2)
+
+
+def test_constructor_refuses_a_coefficient_not_in_canonical_form():
+    f7 = FieldDescriptor(7)
+    x = w(XY, "x")
+    for field, value in [(f7, 9), (f7, -1), (f7, Fraction(2)), (f7, 2.0),
+                         (RATIONALS, 0.5), (RATIONALS, 0.0), (RATIONALS, "1/2"), (RATIONALS, True)]:
+        with pytest.raises(CoefficientError):
+            Polynomial(field, XY, {x: Coefficient(field, value)})
+    assert Polynomial(f7, XY, {x: Coefficient(f7, 2)}) == Polynomial(f7, XY, {x: f7.coeff(9)})
+    half = Polynomial(RATIONALS, XY, {x: Coefficient(RATIONALS, Fraction(1, 2))})
+    assert str(half * half) == "1/4*x*x"
+    assert Polynomial(RATIONALS, XY, {x: Coefficient(RATIONALS, 3)}).coefficient(x) == \
+        RATIONALS.coeff(3)
 
 
 def test_arithmetic_refuses_mixed_alphabets_and_fields():

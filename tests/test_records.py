@@ -1,12 +1,16 @@
 """Result records are immutable named tuples that the package builds with no
-generated code; the value types with validation or operators are not tuples."""
+generated code; the value types with validation or operators are not tuples
+but plain immutable classes that compare and hash by their fields."""
 
 import ast
+import copy
 import dataclasses
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +30,7 @@ from ncrewrite.arw import (
 )
 from ncrewrite.cli import Presentation
 from ncrewrite.coeff import RATIONALS, Coefficient, FieldDescriptor
-from ncrewrite.freealg import Alphabet, Occurrence, Word
+from ncrewrite.freealg import Alphabet, Occurrence, Polynomial, Word
 from ncrewrite.order import CompatibilityReport, OrderingSpec
 from ncrewrite.quotient import IndependenceVerdict, QuotientRing
 from ncrewrite.rewrite import NormalFormResult, ReductionStep, ReductionSystem, Rule
@@ -77,19 +81,74 @@ def test_relative_agrees_defaults_to_none():
     assert ConfluenceReport(report, ()).relative_agrees is None
 
 
+# each value type with the arguments of one value, which are its fields in order
+VALUE_ARGS = {
+    Alphabet: (("x", "y"), (1, 2)),
+    Word: (Alphabet(("x",)), (0, 0)),
+    FieldDescriptor: (7,),
+    Coefficient: (RATIONALS, Fraction(1, 2)),
+    OrderingSpec: (Alphabet(("x", "y")), ("y", "x")),
+    ReductionSystem: (Alphabet(("x",)), RATIONALS, (Rule(
+        Alphabet(("x",)).word("x", "x"), Polynomial.zero(RATIONALS, Alphabet(("x",)))),)),
+    OrientedGraph: (frozenset("ab"), frozenset({("a", "b")})),
+}
+VALUE_FIELDS = {
+    Alphabet: "symbols weights",
+    Word: "alphabet letters",
+    FieldDescriptor: "modulus",
+    Coefficient: "field value",
+    OrderingSpec: "alphabet precedence",
+    ReductionSystem: "alphabet field rules",
+    OrientedGraph: "vertices edges",
+}
+
+
 def test_value_types_are_not_tuples():
     alphabet = Alphabet(("x",))
     word = alphabet.word("x", "x")
     assert not any(issubclass(cls, tuple) for cls in VALUE_TYPES)
-    assert all(dataclasses.is_dataclass(cls) for cls in VALUE_TYPES)
     assert word != word.letters
     assert word * word == alphabet.word("x", "x", "x", "x")
     with pytest.raises(TypeError):
         3 * RATIONALS.coeff(2)
 
 
-def test_dataclasses_imported_only_beside_a_value_type():
-    defining = {cls.__module__.rsplit(".", 1)[1] + ".py" for cls in VALUE_TYPES}
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_compares_and_hashes_by_its_fields(cls):
+    args, fields = VALUE_ARGS[cls], VALUE_FIELDS[cls].split()
+    value, twin = cls(*args), cls(*args)
+    assert not isinstance(value, tuple) and "__dict__" not in dir(value)
+    assert tuple(getattr(value, name) for name in fields) == args
+    assert value == twin and value is not twin
+    assert hash(value) == hash(twin) == hash(args)  # as a frozen dataclass hashes
+    assert value != args and value.__eq__(args) is NotImplemented
+    assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={arg!r}" for name, arg in zip(fields, args)) + ")"
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_refuses_assignment_and_deletion(cls):
+    value = cls(*VALUE_ARGS[cls])
+    for name in VALUE_FIELDS[cls].split() + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(*VALUE_ARGS[cls])
+
+
+def test_values_differ_by_any_field():
+    alphabet = Alphabet(("x", "y"))
+    assert Alphabet(("x", "y"), (1, 2)) != Alphabet(("x", "y"))
+    assert alphabet.word("x") != Alphabet(("x", "z")).word("x")
+    assert FieldDescriptor(7).coeff(1) != RATIONALS.coeff(1)
+    assert OrderingSpec(alphabet, ("x", "y")) != OrderingSpec(alphabet, ("y", "x"))
+    assert repr(alphabet.word("y")) == \
+        "Word(alphabet=Alphabet(symbols=('x', 'y'), weights=(1, 1)), letters=(1,))"
+
+
+def test_no_module_imports_dataclasses():
     importing = set()
     for path in (SRC / "ncrewrite").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -97,15 +156,16 @@ def test_dataclasses_imported_only_beside_a_value_type():
                     or isinstance(node, ast.Import) \
                     and any(a.name == "dataclasses" for a in node.names):
                 importing.add(path.name)
-    assert importing == defining
+    assert importing == set()
 
 
 def test_cold_cli_import_leaves_out_typing():
-    # -S: no site packages, whose start-up files may import typing themselves
+    # -S: no site packages, whose start-up files may import these themselves
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys; sys.path.insert(0, {str(SRC)!r}); import ncrewrite.cli; "
-         "print(sorted({'typing', 'ncrewrite.cli'} & set(sys.modules)))"],
+         "print(sorted({'typing', 'dataclasses', 'inspect', 'ncrewrite.cli'} "
+         "& set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "['ncrewrite.cli']"

@@ -10,6 +10,8 @@ from ncrewrite.coeff import RATIONALS, FieldDescriptor
 from ncrewrite.freealg import Alphabet, Polynomial, Word
 from ncrewrite.syntax import ExpressionError, parse_polynomial
 
+from conftest import add, mul, neg
+
 ALPHABET = Alphabet(("x", "y", "xy"))
 FIELDS = st.sampled_from([RATIONALS, FieldDescriptor(7)])
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -41,7 +43,7 @@ def _number(field):
 @st.composite
 def _expressions(draw):
     """An expression text and the polynomial it spells, computed with
-    Coefficient arithmetic from the same drawn data."""
+    the reference scalar arithmetic from the same drawn data."""
     field = draw(FIELDS)
     factor = st.tuples(st.sampled_from(ALPHABET.symbols) | _number(field),
                        st.none() | st.integers(0, 3))
@@ -64,13 +66,13 @@ def _expressions(draw):
                 c, word = field.coeff(Fraction(n, d or 1) ** power), ()
             if k is not None:
                 part += f"{draw(SPACE)}^{draw(SPACE)}{k}"
-            coeff, letters = coeff * c, letters + word
+            coeff, letters = mul(coeff, c), letters + word
             texts.append(part)
         text += f"{draw(SPACE)}*{draw(SPACE)}".join(texts) + draw(SPACE)
         if sign == "-":
-            coeff = -coeff
+            coeff = neg(coeff)
         w = Word(ALPHABET, letters)
-        expected[w] = expected.get(w, field.zero()) + coeff
+        expected[w] = add(expected.get(w, field.zero()), coeff)
     return text, field, Polynomial(field, ALPHABET, expected)
 
 
