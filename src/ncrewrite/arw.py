@@ -9,6 +9,7 @@ connected component, reached by every maximal path.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .coeff import Value, _set
 
@@ -58,36 +59,30 @@ class TerminationResult(namedtuple("TerminationResult", "terminating cycle")):
 
 
 def check_termination(graph: OrientedGraph) -> TerminationResult:
-    """A finite graph terminates iff it is acyclic; returns a witness cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph.vertices}
-    parent = {}
+    """A finite graph terminates iff it is acyclic; returns a witness cycle.
+
+    Depth-first from each unvisited vertex in repr order: path is the
+    current path, depth the index of each of its vertices, so an edge back
+    into the path closes the cycle path[depth[w]:] + (w,)."""
+    done = set()
     for root in sorted(graph.vertices, key=repr):
-        if color[root] != WHITE:
+        if root in done:
             continue
-        stack = [(root, iter(sorted(graph.successors(root), key=repr)))]
-        color[root] = GRAY
+        path, depth = [root], {root: 0}
+        stack = [iter(sorted(graph.successors(root), key=repr))]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    parent[w] = v
-                    stack.append((w, iter(sorted(graph.successors(w), key=repr))))
-                    advanced = True
+            for w in stack[-1]:
+                if w in depth:
+                    return TerminationResult(False, (*path[depth[w]:], w))
+                if w not in done:
+                    depth[w] = len(path)
+                    path.append(w)
+                    stack.append(iter(sorted(graph.successors(w), key=repr)))
                     break
-                if color[w] == GRAY:
-                    cycle = [w]
-                    cur = v
-                    while cur != w:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.append(w)
-                    cycle = cycle[::-1]
-                    return TerminationResult(False, tuple(cycle))
-            if not advanced:
-                color[v] = BLACK
+            else:
+                v = path.pop()
+                del depth[v]
+                done.add(v)
                 stack.pop()
     return TerminationResult(True, None)
 
@@ -98,12 +93,9 @@ DiamondResult = namedtuple("DiamondResult", "holds failing_vertex")
 def check_local_diamond(graph: OrientedGraph) -> DiamondResult:
     """Any two out-edges of a vertex must lead to a common descendant."""
     for v in sorted(graph.vertices, key=repr):
-        succ = sorted(graph.successors(v), key=repr)
-        for i in range(len(succ)):
-            di = graph.descendants(succ[i])
-            for j in range(i + 1, len(succ)):
-                if not di & graph.descendants(succ[j]):
-                    return DiamondResult(False, v)
+        below = [graph.descendants(w) for w in sorted(graph.successors(v), key=repr)]
+        if any(not a & b for a, b in combinations(below, 2)):
+            return DiamondResult(False, v)
     return DiamondResult(True, None)
 
 
@@ -117,33 +109,13 @@ class NewmanVerdict(namedtuple("NewmanVerdict", "ok failure witness components")
     __slots__ = ()
 
 
-def _weak_components(graph: OrientedGraph) -> list[frozenset]:
-    neighbours: dict = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    seen = set()
-    components = []
-    for root in sorted(graph.vertices, key=repr):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            for w in neighbours[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(frozenset(comp))
-    return components
-
-
 def newman_verdict(graph: OrientedGraph) -> NewmanVerdict:
     """Unique sink per component when both hypotheses hold.
 
-    Verifies the conclusion directly: from every vertex, the set of
-    reachable sinks must be exactly the component's sink.
+    Verifies the conclusion directly: every vertex must reach exactly one
+    sink.  Then two vertices are weakly connected iff they share their
+    sink, so the components are the vertices grouped by it, in order of
+    their least vertex.
     """
     term = check_termination(graph)
     if not term.terminating:
@@ -151,24 +123,20 @@ def newman_verdict(graph: OrientedGraph) -> NewmanVerdict:
     diamond = check_local_diamond(graph)
     if not diamond.holds:
         return NewmanVerdict(False, "diamond", diamond.failing_vertex, ())
-    components = []
-    for comp in _weak_components(graph):
-        sinks = {v for v in comp if not graph.successors(v)}
+    groups: dict = {}  # sink -> the vertices that reach it
+    for v in sorted(graph.vertices, key=repr):
+        sinks = [w for w in graph.descendants(v) if not graph.successors(w)]
         if len(sinks) != 1:
-            raise GraphError(f"component {sorted(comp, key=repr)} has {len(sinks)} sinks "
-                             "despite both hypotheses holding")
-        (sink,) = sinks
-        for v in comp:
-            reachable_sinks = {w for w in graph.descendants(v)
-                               if not graph.successors(w)}
-            if reachable_sinks != {sink}:
-                raise GraphError(f"maximal path from {v} escapes the sink {sink}")
-        components.append(ComponentVerdict(comp, sink))
-    return NewmanVerdict(True, None, None, tuple(components))
+            raise AssertionError(f"{v} reaches {len(sinks)} sinks "
+                                 "despite both hypotheses holding")
+        groups.setdefault(sinks[0], []).append(v)
+    return NewmanVerdict(True, None, None, tuple(
+        ComponentVerdict(frozenset(vs), sink) for sink, vs in groups.items()))
 
 
 def parse_graph(text: str) -> OrientedGraph:
-    """Edge list, one ``u -> v`` per line; a bare token declares a vertex."""
+    """Edge list, one ``u -> v`` per line: one arrow between two names
+    without blanks; a bare name declares a vertex."""
     edges = []
     vertices = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,11 +144,10 @@ def parse_graph(text: str) -> OrientedGraph:
         if not line:
             continue
         if "->" in line:
-            left, _, right = line.partition("->")
-            u, v = left.strip(), right.strip()
-            if not u or not v:
+            names = [side.split() for side in line.split("->")]
+            if list(map(len, names)) != [1, 1]:
                 raise GraphError(f"line {lineno}: malformed edge {raw!r}")
-            edges.append((u, v))
+            edges.append((names[0][0], names[1][0]))
         else:
             if len(line.split()) != 1:
                 raise GraphError(f"line {lineno}: expected 'u -> v' or a vertex name")

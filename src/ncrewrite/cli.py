@@ -43,7 +43,7 @@ BUDGET_ENV_VAR = "NCREWRITE_ORACLE_BUDGET"
 
 class UsageError(Exception):
     """Bad input that argparse does not check: an option, an environment
-    value or a graph file."""
+    value, a subset file or a file that is not UTF-8."""
 
 
 class PresentationError(Exception):
@@ -314,12 +314,7 @@ def cmd_independent(p: Presentation, args) -> int:
 
 
 def cmd_graph(args) -> int:
-    text = _read(args.edge_file)
-    try:
-        graph = parse_graph(text)
-    except GraphError as exc:  # newman_verdict's GraphError would be a fault
-        raise UsageError(str(exc)) from None
-    verdict = newman_verdict(graph)
+    verdict = newman_verdict(parse_graph(_read(args.edge_file)))
     if verdict.ok:
         data = {"ok": True,
                 "components": [{"vertices": sorted(c.vertices, key=repr),
@@ -406,7 +401,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (PresentationError, ExpressionError, UsageError, OSError) as exc:
+    except (PresentationError, ExpressionError, GraphError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except QuotientError as exc:  # the ring refuses: not confluent, not a subsystem

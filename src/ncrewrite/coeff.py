@@ -98,6 +98,8 @@ class FieldDescriptor(Value):
     __slots__ = _fields = ("modulus",)
 
     def __init__(self, modulus: int | None = None):
+        if modulus is not None and type(modulus) is not int:
+            raise CoefficientError(f"modulus {modulus!r} is not an int")
         if modulus is not None and not _is_prime(modulus):
             raise CoefficientError(f"modulus {modulus} is not prime")
         _set(self, "modulus", modulus)
@@ -146,3 +148,12 @@ class Coefficient(Value):
 
     def __str__(self):
         return str(self.value)
+
+
+def _canonical(c: Coefficient):
+    """c's value, which the kernel relies on being canonical: an int or a
+    Fraction over Q, an int in [0, p) over F_p; else CoefficientError."""
+    value, p = c.value, c.field.modulus
+    if type(value) not in ((int,) if p else (int, Fraction)) or p and not 0 <= value < p:
+        raise CoefficientError(f"{value!r} is not a canonical element of {c.field}")
+    return value

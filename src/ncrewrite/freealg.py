@@ -12,10 +12,9 @@ values, so they hash and compare structurally.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 
-from .coeff import Coefficient, CoefficientError, FieldDescriptor, FieldMismatchError, Value, _set
+from .coeff import Coefficient, FieldDescriptor, FieldMismatchError, Value, _canonical, _set
 
 
 class FreeAlgebraError(Exception):
@@ -133,9 +132,7 @@ class Polynomial:
                 raise AlphabetMismatchError("a word over another alphabet than the polynomial")
             if c.field != field:
                 raise FieldMismatchError("a coefficient over another field than the polynomial")
-            value, p = c.value, field.modulus  # the kernel relies on canonical values
-            if type(value) not in ((int,) if p else (int, Fraction)) or p and not 0 <= value < p:
-                raise CoefficientError(f"{value!r} is not a canonical element of {field}")
+            value = _canonical(c)
             if value:
                 self._terms[w.letters] = value
 
@@ -152,8 +149,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, word: Word, coeff: Coefficient) -> "Polynomial":
-        terms = {word.letters: coeff.value} if coeff else {}
-        return cls._raw(coeff.field, word.alphabet, terms)
+        value = _canonical(coeff)
+        return cls._raw(coeff.field, word.alphabet, {word.letters: value} if value else {})
 
     @classmethod
     def one(cls, field, alphabet) -> "Polynomial":
@@ -198,9 +195,9 @@ class Polynomial:
     def scale(self, coeff: Coefficient) -> "Polynomial":
         if coeff.field != self.field:
             raise FieldMismatchError(f"{coeff.field} vs {self.field}")
-        terms = {}
-        if coeff:
-            add_scaled(terms, self._terms, coeff.value, self.field.modulus)
+        terms, value = {}, _canonical(coeff)
+        if value:
+            add_scaled(terms, self._terms, value, self.field.modulus)
         return Polynomial._raw(self.field, self.alphabet, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":

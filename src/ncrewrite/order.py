@@ -61,7 +61,10 @@ class CompatibilityReport(namedtuple("CompatibilityReport", "compatible violatio
 
 
 def check_compatibility(system, spec: OrderingSpec) -> CompatibilityReport:
-    """Every monomial of every rule's right side must be strictly below its lhs."""
+    """Every monomial of every rule's right side must be strictly below its
+    lhs; AlphabetMismatchError for an order over another alphabet."""
+    if spec.alphabet != system.alphabet:
+        raise AlphabetMismatchError("order over another alphabet than the system")
     violations = []
     for idx, rule in enumerate(system.rules):
         for z in rule.rhs.words():

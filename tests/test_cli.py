@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncrewrite.arw import DiamondResult
 from ncrewrite.cli import (
     Presentation,
     PresentationError,
@@ -545,6 +546,16 @@ def test_malformed_graph_exit_code(capsys, tmp_path):
     assert err.startswith("error: line 2:")
 
 
+@pytest.mark.parametrize("line", ["a -> b -> c", "a b -> c"])
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_graph_edge_line_with_two_arrows_or_a_blank_exits_3(capsys, tmp_path, line, fmt):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"# an edge line holds one arrow between two names\n{line}\n")
+    code, out, err = run(capsys, "--format", fmt, "graph", str(bad))
+    assert (code, out) == (3, "")
+    assert err == f"error: line 2: malformed edge {line!r}\n"
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def fault(*args):
         raise RuntimeError("injected fault")
@@ -552,6 +563,15 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "nf", pres("weyl.pres"), "y*x")
     assert (code, out) == (5, "")
     assert "Traceback" in err and "RuntimeError: injected fault" in err
+
+
+def test_graph_fault_is_not_bad_input(capsys, monkeypatch):
+    # a fork whose diamond check is made to pass reaches two sinks: a fault
+    monkeypatch.setattr("ncrewrite.arw.check_local_diamond",
+                        lambda graph: DiamondResult(True, None))
+    code, out, err = run(capsys, "graph", pres("fork.graph"))
+    assert (code, out) == (5, "")
+    assert "Traceback" in err and "AssertionError: a reaches 2 sinks" in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -94,6 +94,12 @@ def test_nonprime_modulus_rejected():
         FieldDescriptor(1)
 
 
+@pytest.mark.parametrize("modulus", [7.0, Fraction(7), "7"])
+def test_modulus_that_is_not_an_int_rejected(modulus):
+    with pytest.raises(CoefficientError, match="is not an int"):
+        FieldDescriptor(modulus)
+
+
 def test_primality_matches_trial_division():
     for n in range(3000):
         assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1)))

@@ -227,6 +227,21 @@ def test_constructor_refuses_a_coefficient_not_in_canonical_form():
         RATIONALS.coeff(3)
 
 
+def test_monomial_and_scale_refuse_a_coefficient_not_in_canonical_form():
+    f7 = FieldDescriptor(7)
+    x = w(XY, "x")
+    one = Polynomial.monomial(x, RATIONALS.one())
+    for field, value in [(f7, 9), (f7, -1), (f7, Fraction(2)), (RATIONALS, 0.5)]:
+        with pytest.raises(CoefficientError, match="not a canonical element"):
+            Polynomial.monomial(x, Coefficient(field, value))
+        with pytest.raises(CoefficientError, match="not a canonical element"):
+            Polynomial.monomial(x, field.one()).scale(Coefficient(field, value))
+    assert Polynomial.monomial(x, f7.coeff(9)) == Polynomial.monomial(x, Coefficient(f7, 2))
+    assert str(one.scale(Coefficient(RATIONALS, Fraction(1, 2)))) == "1/2*x"
+    assert str(one.scale(Coefficient(RATIONALS, 3))) == "3*x"
+    assert Polynomial.monomial(x, RATIONALS.zero()).is_zero()
+
+
 def test_arithmetic_refuses_mixed_alphabets_and_fields():
     x = Polynomial.monomial(w(XY, "x"), RATIONALS.one())
     a = Polynomial.monomial(w(ABC, "a"), RATIONALS.one())

@@ -113,3 +113,27 @@ def test_compatibility_degree_violation():
     system = ReductionSystem(XY, RATIONALS, (rule,))
     report = check_compatibility(system, SPEC)
     assert report.violations == ((0, w("xx")),)
+
+
+@pytest.mark.parametrize("with_rule", [False, True])
+def test_order_over_another_alphabet_is_refused(with_rule):
+    from ncrewrite.ambiguity import ambiguities, check_all, check_resolvable_relative
+    from ncrewrite.coeff import RATIONALS
+    from ncrewrite.freealg import AlphabetMismatchError, Polynomial
+    from ncrewrite.quotient import QuotientRing
+    from ncrewrite.rewrite import ReductionSystem, Rule, normal_form
+
+    xx = ReductionSystem(XY, RATIONALS, (Rule(w("xx"), Polynomial.zero(RATIONALS, XY)),))
+    system = xx if with_rule else ReductionSystem(XY, RATIONALS, ())
+    other = OrderingSpec(Alphabet(("z",)), ("z",))
+    poly = Polynomial.monomial(w("xy"), RATIONALS.one())
+    (overlap,) = ambiguities(xx)  # x*x*x
+    for call in (lambda: check_compatibility(system, other),
+                 lambda: normal_form(poly, system, other),
+                 lambda: check_all(system, other),
+                 lambda: QuotientRing.build(system, other),
+                 lambda: check_resolvable_relative(overlap, system, other)):
+        with pytest.raises(AlphabetMismatchError, match="order over another alphabet"):
+            call()
+    assert not system._compatibility  # nothing was remembered for the order
+    assert check_all(system, SPEC).confluent
