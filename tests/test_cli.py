@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import sys
 import time
 import tracemalloc
@@ -155,6 +156,24 @@ def test_every_name_the_grammar_reads_round_trips(names):
     p = Presentation(FieldDescriptor(), alphabet, OrderingSpec(alphabet, tuple(names)),
                      system)
     assert parse_presentation(format_presentation(p)) == p
+
+
+# Every subcommand in both formats on the shipped presentations and a few
+# small files: exit code, stdout and stderr, byte for byte.
+TRANSCRIPT = json.loads((pathlib.Path(__file__).parent / "cli_transcript.json")
+                        .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", TRANSCRIPT["cases"],
+                         ids=lambda case: " ".join(case["argv"][1:]))
+def test_cli_transcript(capsys, tmp_path, monkeypatch, case):
+    for path in PRESENTATIONS.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    for name, text in TRANSCRIPT["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps --help at
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_check_exit_codes(capsys):
