@@ -1,14 +1,16 @@
 """Command-line front end: parse a presentation file and drive the engine.
 
-Exit codes (stable):
+Exit codes (stable; ERROR_EXITS maps each error type to its code):
   0  success (for ``check``: confluent)
-  1  negative verdict (not confluent / inclusion not certified; the
-     quotient ring refuses a system that is not confluent)
-  2  system incompatible with the ordering
-  3  usage, syntax or validation error (also a malformed graph file)
-  4  oracle budget exhausted
-  5  internal error: a fault in ncrewrite, not a verdict; the traceback
-     is printed to standard error
+  1  negative verdict: not confluent, inclusion not certified, no unique
+     sink; QuotientError: the quotient ring refuses a system that is not
+     confluent, or a subset file that is not a subsystem
+  2  system incompatible with the ordering: IncompatibleSystemError
+  3  usage, syntax, validation or file error: argparse's usage errors,
+     PresentationError, ExpressionError, GraphError, UsageError, OSError
+  4  oracle budget exhausted: BudgetExceededError
+  5  internal error: any other exception, a fault in ncrewrite and not a
+     verdict; the traceback is printed to standard error
 """
 
 from __future__ import annotations
@@ -174,13 +176,6 @@ def _ambiguity_dict(amb, p, verdict=None):
     return out
 
 
-def _emit(data: dict, human: str, fmt: str):
-    if fmt == "structured":
-        print(json.dumps(data, indent=2))
-    else:
-        print(human)
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -189,82 +184,68 @@ def _read(path: str) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_presentation(path: str) -> Presentation:
-    return parse_presentation(_read(path))
+# Each command returns (exit code, structured data, human text); main
+# prints the one that --format asks for.
 
-
-def cmd_check(p: Presentation, args) -> int:
+def cmd_check(p: Presentation, args):
     report = check_all(p.system, p.ordering)
     if not report.compatible:
-        _emit({"verdict": "incompatible",
-               "violations": [{"rule": i, "monomial": str(w)}
-                              for i, w in report.compatibility.violations]},
-              "incompatible: " + format_violations(report.compatibility),
-              args.format)
-        return 2
+        return (2, {"verdict": "incompatible",
+                    "violations": [{"rule": i, "monomial": str(w)}
+                                   for i, w in report.compatibility.violations]},
+                "incompatible: " + format_violations(report.compatibility))
     verdicts = [_ambiguity_dict(v.ambiguity, p, v) for v in report.verdicts]
-    human = [f"{len(report.verdicts)} ambiguities, "
-             + ("confluent" if report.confluent else "not confluent")]
+    verdict = "confluent" if report.confluent else "not confluent"
+    human = [f"{len(report.verdicts)} ambiguities, {verdict}"]
     for v in verdicts:
         status = "resolvable" if v["resolvable"] else \
             f"NOT resolvable (nf_left {v['nf_left']}, nf_right {v['nf_right']})"
         human.append(f"  {v['kind']} at {v['D']}: {status}")
-    _emit({"verdict": "confluent" if report.confluent else "not confluent",
-           "ambiguities": verdicts},
-          "\n".join(human), args.format)
-    return 0 if report.confluent else 1
+    return (0 if report.confluent else 1,
+            {"verdict": verdict, "ambiguities": verdicts}, "\n".join(human))
 
 
-def cmd_nf(p: Presentation, args) -> int:
+def cmd_nf(p: Presentation, args):
     expr = parse_polynomial(args.expr, p.field, p.alphabet)
     result = normal_form(expr, p.system, p.ordering)
     text = format_polynomial(result.value, p.ordering)
-    data = {"normal_form": text}
-    human = text
-    if args.trace:
-        data["trace"] = format_trace(result.trace).splitlines()
-        if result.trace:
-            human += "\n" + format_trace(result.trace)
-    _emit(data, human, args.format)
-    return 0
+    if not args.trace:
+        return 0, {"normal_form": text}, text
+    trace = format_trace(result.trace)
+    return (0, {"normal_form": text, "trace": trace.splitlines()},
+            text + "\n" + trace if trace else text)
 
 
-def cmd_mul(p: Presentation, args) -> int:
+def cmd_mul(p: Presentation, args):
     ring = QuotientRing.build(p.system, p.ordering)
     a = ring.normal_form(parse_polynomial(args.left, p.field, p.alphabet))
     b = ring.normal_form(parse_polynomial(args.right, p.field, p.alphabet))
     text = format_polynomial(ring.multiply(a, b), p.ordering)
-    _emit({"product": text}, text, args.format)
-    return 0
+    return 0, {"product": text}, text
 
 
-def cmd_member(p: Presentation, args) -> int:
+def cmd_member(p: Presentation, args):
     ring = QuotientRing.build(p.system, p.ordering)
     member = ring.ideal_member(parse_polynomial(args.expr, p.field, p.alphabet))
-    _emit({"member": member}, "member" if member else "not a member", args.format)
-    return 0
+    return 0, {"member": member}, "member" if member else "not a member"
 
 
-def cmd_basis(p: Presentation, args) -> int:
+def cmd_basis(p: Presentation, args):
     if args.max_degree < 0:
         raise UsageError(f"--max-degree must be >= 0, not {args.max_degree}")
     ring = QuotientRing.build(p.system, p.ordering)
-    words = ring.basis_words(args.max_degree)
-    _emit({"basis": [str(w) for w in words]},
-          "\n".join(str(w) for w in words), args.format)
-    return 0
+    words = [str(w) for w in ring.basis_words(args.max_degree)]
+    return 0, {"basis": words}, "\n".join(words)
 
 
-def cmd_ambiguities(p: Presentation, args) -> int:
+def cmd_ambiguities(p: Presentation, args):
     ambs = ambiguities(p.system)
-    _emit({"ambiguities": [_ambiguity_dict(a, p) for a in ambs]},
-          "\n".join(f"{a.kind} sigma={a.sigma} tau={a.tau} D={a.word}"
-                    for a in ambs) or "no ambiguities",
-          args.format)
-    return 0
+    return (0, {"ambiguities": [_ambiguity_dict(a, p) for a in ambs]},
+            "\n".join(f"{a.kind} sigma={a.sigma} tau={a.tau} D={a.word}"
+                      for a in ambs) or "no ambiguities")
 
 
-def cmd_oracle(p: Presentation, args) -> int:
+def cmd_oracle(p: Presentation, args):
     if args.budget is None:
         source = BUDGET_ENV_VAR
         text = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_ORACLE_BUDGET))
@@ -276,23 +257,16 @@ def cmd_oracle(p: Presentation, args) -> int:
     expr = parse_polynomial(args.expr, p.field, p.alphabet)
     forms = all_normal_forms(expr, p.system, budget)
     rendered = sorted(format_polynomial(f, p.ordering) for f in forms)
-    _emit({"normal_forms": rendered}, "\n".join(rendered), args.format)
-    return 0
+    return 0, {"normal_forms": rendered}, "\n".join(rendered)
 
 
-def cmd_simplify(p: Presentation, args) -> int:
-    simplified = simplify_system(p.system)
-    out = format_presentation(
-        Presentation(p.field, p.alphabet, p.ordering, simplified))
-    if args.format == "structured":
-        print(json.dumps({"presentation": out}))
-    else:
-        print(out, end="")
-    return 0
+def cmd_simplify(p: Presentation, args):
+    out = format_presentation(p._replace(system=simplify_system(p.system)))
+    return 0, {"presentation": out}, out[:-1]  # print puts the last newline back
 
 
-def cmd_independent(p: Presentation, args) -> int:
-    subset = _load_presentation(args.subset_file)
+def cmd_independent(p: Presentation, args):
+    subset = parse_presentation(_read(args.subset_file))
     if subset.alphabet != p.alphabet or subset.field != p.field:
         raise UsageError(f"subset file {args.subset_file} must share field and "
                          f"generators with {args.presentation}")
@@ -309,31 +283,24 @@ def cmd_independent(p: Presentation, args) -> int:
         human += "\nno ambiguities: rules " + \
             ", ".join(map(str, verdict.independent_rules)) + \
             " are each independent of the others"
-    _emit(data, human, args.format)
-    return 0 if verdict.strict else 1
+    return 0 if verdict.strict else 1, data, human
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(_, args):
     verdict = newman_verdict(parse_graph(_read(args.edge_file)))
     if verdict.ok:
-        data = {"ok": True,
-                "components": [{"vertices": sorted(c.vertices, key=repr),
-                                "sink": c.sink}
-                               for c in verdict.components]}
-        human = "\n".join(
-            f"component {{{', '.join(sorted(map(str, c.vertices)))}}}: sink {c.sink}"
-            for c in verdict.components)
-        _emit(data, human, args.format)
-        return 0
-    data = {"ok": False, "failure": verdict.failure,
-            "witness": list(verdict.witness) if verdict.failure == "termination"
-            else verdict.witness}
+        return (0, {"ok": True,
+                    "components": [{"vertices": sorted(c.vertices, key=repr),
+                                    "sink": c.sink}
+                                   for c in verdict.components]},
+                "\n".join(f"component {{{', '.join(sorted(map(str, c.vertices)))}}}: "
+                          f"sink {c.sink}" for c in verdict.components))
     if verdict.failure == "termination":
-        human = "termination fails: cycle " + " -> ".join(map(str, verdict.witness))
-    else:
-        human = f"diamond condition fails at {verdict.witness}"
-    _emit(data, human, args.format)
-    return 1
+        return (1, {"ok": False, "failure": verdict.failure,
+                    "witness": list(verdict.witness)},
+                "termination fails: cycle " + " -> ".join(map(str, verdict.witness)))
+    return (1, {"ok": False, "failure": verdict.failure, "witness": verdict.witness},
+            f"diamond condition fails at {verdict.witness}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,33 +312,44 @@ def build_parser() -> argparse.ArgumentParser:
                         default="human", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_presentation(name, help_text):
+    def command(name, run, help_text, indent=2, presentation=True):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("presentation", help="presentation file")
+        if presentation:
+            sp.add_argument("presentation", help="presentation file")
+        sp.set_defaults(run=run, indent=indent)  # indent: of the structured output
         return sp
 
-    with_presentation("check", "decide confluence")
-    sp = with_presentation("nf", "normal form of an expression")
+    command("check", cmd_check, "decide confluence")
+    sp = command("nf", cmd_nf, "normal form of an expression")
     sp.add_argument("expr")
     sp.add_argument("--trace", action="store_true")
-    sp = with_presentation("mul", "multiply in the quotient ring")
+    sp = command("mul", cmd_mul, "multiply in the quotient ring")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp = with_presentation("member", "two-sided ideal membership")
-    sp.add_argument("expr")
-    sp = with_presentation("basis", "irreducible monomial basis")
+    command("member", cmd_member, "two-sided ideal membership").add_argument("expr")
+    sp = command("basis", cmd_basis, "irreducible monomial basis")
     sp.add_argument("--max-degree", type=int, required=True)
-    with_presentation("ambiguities", "list ambiguities without resolving them")
-    sp = with_presentation("oracle", "all normal forms: word by word, exhaustive "
-                           "search where a word is not provably unique")
+    command("ambiguities", cmd_ambiguities, "list ambiguities without resolving them")
+    sp = command("oracle", cmd_oracle, "all normal forms: word by word, exhaustive "
+                 "search where a word is not provably unique")
     sp.add_argument("expr")
     sp.add_argument("--budget", type=int, default=None)
-    with_presentation("simplify", "emit an inclusion-free subsystem")
-    sp = with_presentation("independent", "certify strict ideal inclusion")
-    sp.add_argument("subset_file")
-    sp = sub.add_parser("graph", help="Newman verdict for an edge-list graph")
-    sp.add_argument("edge_file")
+    command("simplify", cmd_simplify, "emit an inclusion-free subsystem", indent=None)
+    command("independent", cmd_independent,
+            "certify strict ideal inclusion").add_argument("subset_file")
+    command("graph", cmd_graph, "Newman verdict for an edge-list graph",
+            presentation=False).add_argument("edge_file")
     return parser
+
+
+# The first row whose types the error is an instance of gives the exit
+# code; any other exception is a fault in ncrewrite, exit 5.
+ERROR_EXITS = (
+    (IncompatibleSystemError, 2),
+    (BudgetExceededError, 4),
+    ((PresentationError, ExpressionError, GraphError, UsageError, OSError), 3),
+    (QuotientError, 1),  # the ring refuses: not confluent, not a subsystem
+)
 
 
 def main(argv=None) -> int:
@@ -380,36 +358,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error; ours is 3
         return 3 if exc.code == 2 else exc.code
     try:
-        if args.command == "graph":
-            return cmd_graph(args)
-        p = _load_presentation(args.presentation)
-        handler = {
-            "check": cmd_check,
-            "nf": cmd_nf,
-            "mul": cmd_mul,
-            "member": cmd_member,
-            "basis": cmd_basis,
-            "ambiguities": cmd_ambiguities,
-            "oracle": cmd_oracle,
-            "simplify": cmd_simplify,
-            "independent": cmd_independent,
-        }[args.command]
-        return handler(p, args)
-    except IncompatibleSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (PresentationError, ExpressionError, GraphError, UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except QuotientError as exc:  # the ring refuses: not confluent, not a subsystem
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception:  # a fault must not read as a negative verdict
-        traceback.print_exc()
-        return 5
+        p = parse_presentation(_read(args.presentation)) if "presentation" in args else None
+        code, data, human = args.run(p, args)
+        print(json.dumps(data, indent=args.indent) if args.format == "structured" else human)
+        return code
+    except Exception as exc:
+        code = next((code for errors, code in ERROR_EXITS if isinstance(exc, errors)), 5)
+        if code == 5:  # a fault must not read as a negative verdict
+            traceback.print_exc()
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -109,7 +109,11 @@ class FieldDescriptor(Value):
         return self.modulus is None
 
     def coeff(self, value) -> "Coefficient":
-        """Canonical field element from an int or Fraction (over Q also a '1/2' string)."""
+        """Canonical field element from an int or Fraction (over Q also a
+        '1/2' string).  A float is refused: it is seldom the number it was
+        written as (0.1 is 3602879701896397/36028797018963968)."""
+        if isinstance(value, float):
+            raise CoefficientError(f"coefficient {value!r} is a float, not an int or Fraction")
         p = self.modulus
         if p is None:
             return Coefficient(self, Fraction(value))

@@ -34,12 +34,12 @@ class Alphabet(Value):
         weights = weights or (1,) * len(symbols)
         if len(weights) != len(symbols):
             raise FreeAlgebraError("one weight per symbol required")
+        if any(not isinstance(s, str) or not s for s in symbols):
+            raise FreeAlgebraError(f"generator names must be non-empty strings: {symbols!r}")
         if len(set(symbols)) != len(symbols):
             raise FreeAlgebraError("duplicate generator names")
-        if any(not s for s in symbols):
-            raise FreeAlgebraError("empty generator name")
-        if any(w < 1 for w in weights):
-            raise FreeAlgebraError("weights must be >= 1")
+        if any(type(w) is not int or w < 1 for w in weights):  # not a bool, not a float
+            raise FreeAlgebraError(f"weights must be ints >= 1: {weights!r}")
         _set(self, "symbols", symbols)
         _set(self, "weights", weights)
 

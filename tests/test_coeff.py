@@ -144,3 +144,11 @@ def test_field_axioms(triple):
 def test_double_inverse(a):
     if a:
         assert inv(inv(a)) == a
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("value", [2.5, 0.1, 2.0, float("nan")])
+def test_float_coefficient_rejected(field, value):
+    # 2.5 would truncate to 2 in F_7, and 0.1 be 3602879701896397/2**55 over Q
+    with pytest.raises(CoefficientError, match="is a float"):
+        field.coeff(value)

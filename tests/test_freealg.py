@@ -43,6 +43,15 @@ def test_alphabet_validation():
         Alphabet(("",))
 
 
+
+@pytest.mark.parametrize("symbols,weights", [
+    (("x",), (1.5,)), (("x",), (2.0,)), (("x",), (True,)), (("x",), ("2",)),
+    ((1, 2), ()), (("x", None), ()), ((["x"],), ())])
+def test_alphabet_refuses_a_weight_that_is_not_an_int_or_a_name_that_is_not_a_str(
+        symbols, weights):
+    with pytest.raises(FreeAlgebraError):
+        Alphabet(symbols, weights)
+
 def test_concat():
     assert w(XY, "xy") * w(XY, "y") == w(XY, "xyy")
     assert XY.one() * w(XY, "yx") == w(XY, "yx")

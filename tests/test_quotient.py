@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,8 @@ from ncrewrite.quotient import (
 )
 from ncrewrite.rewrite import ReductionSystem
 from ncrewrite.syntax import parse_polynomial
+
+from conftest import load
 
 
 def expr(text, p):
@@ -151,3 +155,15 @@ def test_representative_soundness(weyl, weyl_ring):
         b = _random_poly(rng, weyl)
         same = weyl_ring.normal_form(a) == weyl_ring.normal_form(b)
         assert same == weyl_ring.ideal_member(a - b)
+
+
+@pytest.mark.parametrize("name,n,max_degree", [
+    ("sl2.pres", 3, 9), ("weyl.pres", 2, 14), ("commuting4.pres", 4, 7)],
+    ids=["sl2", "weyl", "commuting4"])
+def test_basis_counts_are_the_pbw_counts(name, n, max_degree):
+    # each has a PBW basis, the ordered words: C(d+n-1, n-1) of them in degree d
+    p = load(name)
+    words = QuotientRing.build(p.system, p.ordering).basis_words(max_degree)
+    counts = Counter(w.degree() for w in words)
+    assert [counts[d] for d in range(max_degree + 1)] == \
+        [math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)]

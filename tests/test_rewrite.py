@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,9 @@ from ncrewrite.order import OrderingSpec
 from ncrewrite.syntax import parse_polynomial
 
 from conftest import PRESENTATIONS, occurrences_of
+
+sys.path.insert(0, str(PRESENTATIONS.parent / "bench"))
+import reference  # noqa: E402  the benchmark's checks, written without ncrewrite
 
 
 def expr(text, p):
@@ -367,3 +372,15 @@ def test_all_normal_forms_cyclic_system():
         a = expr(text, p)
         assert all_normal_forms(a, p.system) == forms
         assert exhaustive_normal_forms(a, p.system) == forms
+
+
+@pytest.mark.parametrize("k", [300, 600])
+def test_long_weyl_word_acts_like_its_normal_form(weyl, k):
+    # y*x^k = x^k*y + k*x^(k-1); in weyl_rep x acts on k[t] as t and y as d/dt
+    value = normal_form(expr(f"y*x^{k}", weyl), weyl.system, weyl.ordering).value
+    assert value == expr(f"x^{k}*y + {k}*x^{k - 1}", weyl)
+    out = frozenset((tuple(weyl.alphabet.symbols[i] for i in w.letters), c.value)
+                    for w, c in value.items())
+    word = frozenset([(("y",) + ("x",) * k, Fraction(1))])
+    assert reference.check_normal_form(out, [word], [("y", "x")],
+                                       [reference.weyl_rep()]) is None
