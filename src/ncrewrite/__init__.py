@@ -16,7 +16,7 @@ from .ambiguity import (
 from .arw import OrientedGraph, check_local_diamond, check_termination, newman_verdict
 from .coeff import Coefficient, FieldDescriptor, RATIONALS
 from .freealg import Alphabet, Occurrence, Polynomial, Word
-from .order import CompatibilityReport, OrderingSpec, check_compatibility, deglex_compare
+from .order import CompatibilityReport, OrderingSpec, check_compatibility
 from .quotient import IndependenceVerdict, QuotientRing, independence_check
 from .rewrite import (
     NormalFormResult,

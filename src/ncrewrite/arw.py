@@ -22,6 +22,7 @@ class OrientedGraph(Value):
     __slots__ = _fields = ("vertices", "edges")
 
     def __init__(self, vertices: frozenset, edges: frozenset):  # edges: (source, target)
+        vertices, edges = frozenset(vertices), frozenset(edges)
         for u, v in edges:
             if u not in vertices or v not in vertices:
                 raise GraphError(f"edge ({u}, {v}) leaves the vertex set")
@@ -35,7 +36,7 @@ class OrientedGraph(Value):
         for u, v in edges:
             verts.add(u)
             verts.add(v)
-        return cls(frozenset(verts), edges)
+        return cls(verts, edges)
 
     def successors(self, v) -> set:
         return {b for a, b in self.edges if a == v}

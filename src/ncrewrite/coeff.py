@@ -109,16 +109,16 @@ class FieldDescriptor(Value):
         return self.modulus is None
 
     def coeff(self, value) -> "Coefficient":
-        """Canonical field element from an int or Fraction (over Q also a
-        '1/2' string).  A float is refused: it is seldom the number it was
+        """Canonical field element of Fraction(value): from an int, a
+        Fraction, a Decimal or a '1/2' string; over F_p the numerator times
+        the denominator's inverse mod p, ZeroInversionError if p divides the
+        denominator.  A float is refused: it is seldom the number it was
         written as (0.1 is 3602879701896397/36028797018963968)."""
         if isinstance(value, float):
             raise CoefficientError(f"coefficient {value!r} is a float, not an int or Fraction")
-        p = self.modulus
+        value, p = Fraction(value), self.modulus
         if p is None:
-            return Coefficient(self, Fraction(value))
-        if not isinstance(value, Fraction):
-            return Coefficient(self, int(value) % p)
+            return Coefficient(self, value)
         if not value.denominator % p:
             raise ZeroInversionError(f"cannot invert {value.denominator} in {self}")
         return Coefficient(self, value.numerator * pow(value.denominator, -1, p) % p)

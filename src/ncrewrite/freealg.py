@@ -31,7 +31,8 @@ class Alphabet(Value):
     __slots__ = _fields = ("symbols", "weights")
 
     def __init__(self, symbols: tuple[str, ...], weights: tuple[int, ...] = ()):
-        weights = weights or (1,) * len(symbols)
+        symbols = tuple(symbols)
+        weights = tuple(weights) or (1,) * len(symbols)
         if len(weights) != len(symbols):
             raise FreeAlgebraError("one weight per symbol required")
         if any(not isinstance(s, str) or not s for s in symbols):
@@ -91,9 +92,12 @@ class Word(Value):
         return not self.letters
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return "*".join(self.alphabet.symbols[i] for i in self.letters)
+        return _text(self.letters, self.alphabet.symbols)
+
+
+def _text(letters: tuple[int, ...], symbols: tuple[str, ...]) -> str:
+    """How a word is written: its letters' names joined by '*', or 1."""
+    return "*".join(map(symbols.__getitem__, letters)) if letters else "1"
 
 
 class Occurrence(namedtuple("Occurrence", "prefix rule suffix")):

@@ -12,8 +12,6 @@ from collections import namedtuple
 from .coeff import Value, _set
 from .freealg import Alphabet, AlphabetMismatchError, Word
 
-LT, EQ, GT = -1, 0, 1
-
 
 class OrderingError(Exception):
     pass
@@ -26,6 +24,7 @@ class OrderingSpec(Value):
     __slots__ = (*_fields, "_ranks")
 
     def __init__(self, alphabet: Alphabet, precedence: tuple[str, ...]):
+        precedence = tuple(precedence)
         if sorted(precedence) != sorted(alphabet.symbols):
             raise OrderingError("precedence must be a permutation of the alphabet")
         _set(self, "alphabet", alphabet)
@@ -44,16 +43,6 @@ class OrderingSpec(Value):
         return (sum(weights[i] for i in letters), tuple(ranks[i] for i in letters))
 
 
-def deglex_compare(u: Word, v: Word, spec: OrderingSpec) -> int:
-    """-1, 0 or 1 as u <, =, > v under weighted deglex."""
-    ku, kv = spec.sort_key(u), spec.sort_key(v)
-    if ku < kv:
-        return LT
-    if ku > kv:
-        return GT
-    return EQ
-
-
 class CompatibilityReport(namedtuple("CompatibilityReport", "compatible violations")):
     """Violations are (rule index, monomial of f_sigma not strictly below the lhs)."""
 
@@ -65,11 +54,10 @@ def check_compatibility(system, spec: OrderingSpec) -> CompatibilityReport:
     lhs; AlphabetMismatchError for an order over another alphabet."""
     if spec.alphabet != system.alphabet:
         raise AlphabetMismatchError("order over another alphabet than the system")
-    violations = []
-    for idx, rule in enumerate(system.rules):
-        for z in rule.rhs.words():
-            if deglex_compare(z, rule.lhs, spec) != LT:
-                violations.append((idx, z))
+    key, violations = spec.letters_key, []
+    for idx, (lhs, rhs) in enumerate(system._compiled):
+        top = key(lhs)
+        violations += [(idx, Word(system.alphabet, z)) for z, _ in rhs if not key(z) < top]
     return CompatibilityReport(not violations, tuple(violations))
 
 

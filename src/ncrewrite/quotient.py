@@ -70,20 +70,17 @@ def independence_check(s1: ReductionSystem, s2: ReductionSystem,
                        spec: OrderingSpec) -> IndependenceVerdict:
     """Certify strict inclusion of the ideal of s1 in that of s2.
 
-    Requires the rules of s1 to be a subset of those of s2 and s2 to be
-    compatible and confluent.  The certificate is a rule of s2 whose left
-    side is irreducible with respect to s1.  When s2 has no ambiguities
-    at all, no left side contains another, so every rule is irreducible
-    with respect to the remaining rules and is reported as independent of
-    them.
+    Requires the rules of s1 to be a subset of those of s2, and s2 to pass
+    QuotientRing.build: compatible and confluent.  The certificate is a
+    rule of s2 whose left side is irreducible with respect to s1.  When s2
+    has no ambiguities at all, no left side contains another, so every rule
+    is irreducible with respect to the remaining rules and is reported as
+    independent of them.
     """
     for rule in s1.rules:
         if rule not in s2.rules:
             raise QuotientError("rules of the subsystem must occur in the full system")
-    require_compatible(s2, spec)
-    report = check_all(s2, spec)
-    if not report.confluent:
-        raise QuotientError("full system must be confluent")
+    report = QuotientRing.build(s2, spec).report
 
     witness = next((i for i, (lhs, _) in enumerate(s2._compiled)
                     if not any(_sites(lhs, s1._left_sides))), None)

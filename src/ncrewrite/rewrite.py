@@ -72,6 +72,7 @@ class ReductionSystem(Value):
     __slots__ = (*_fields, "_compatibility", "_compiled", "_left_sides")
 
     def __init__(self, alphabet: Alphabet, field: FieldDescriptor, rules: tuple[Rule, ...]):
+        rules = tuple(rules)
         _set(self, "alphabet", alphabet)
         _set(self, "field", field)
         _set(self, "rules", rules)
@@ -323,5 +324,5 @@ def format_trace(trace) -> str:
     """One line per step: ``A | rule-index | B | lambda``."""
     return "\n".join(
         f"{step.occurrence.prefix} | {step.occurrence.rule} | "
-        f"{step.occurrence.suffix} | {format_coefficient(step.coefficient)}"
+        f"{step.occurrence.suffix} | {format_coefficient(step.coefficient.value)}"
         for step in trace)

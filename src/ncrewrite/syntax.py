@@ -23,7 +23,8 @@ import sys
 from fractions import Fraction
 
 from .coeff import FieldDescriptor
-from .freealg import Alphabet, Polynomial, Word, add_scaled
+from .freealg import Alphabet, AlphabetMismatchError, Polynomial, Word, _text, add_scaled
+from .order import OrderingSpec
 
 
 MAX_POWER_LETTERS = 10 ** 6  # letters in all the words of one expression
@@ -127,46 +128,44 @@ def parse_polynomial(text: str, field: FieldDescriptor,
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """A product of generators (with optional powers) and the literal 1."""
-    field = FieldDescriptor()
-    terms = parse_polynomial(text, field, alphabet).items()
-    if len(terms) != 1 or terms[0][1] != field.one():
+    terms = parse_polynomial(text, FieldDescriptor(), alphabet)._terms
+    if list(terms.values()) != [1]:
         raise ExpressionError(f"{text!r} is not a plain word")
-    return terms[0][0]
+    return Word(alphabet, next(iter(terms)))
 
 
-def format_coefficient(c) -> str:
+def format_coefficient(value) -> str:
+    """str of a raw field value, as ExpressionError past the digit limit."""
     try:
-        return str(c.value)
+        return str(value)
     except ValueError:  # a numerator or denominator past the digit limit
         limit = sys.get_int_max_str_digits()
         raise ExpressionError(f"coefficient exceeds the limit of {limit} digits "
                               "for integer string conversion") from None
 
 
-def format_polynomial(poly: Polynomial, spec=None) -> str:
-    """Deterministic rendering, largest term first.
-
-    With an OrderingSpec the display order is descending deglex; without
-    one it falls back to (degree, letters) so output stays stable.
-    """
+def format_polynomial(poly: Polynomial, spec: OrderingSpec | None = None) -> str:
+    """Deterministic rendering, largest term first: descending deglex under
+    spec, by default the order that takes the generators as the alphabet
+    lists them (weighted degree, then letter indices)."""
     if poly.is_zero():
         return "0"
-    if spec is not None:
-        key = spec.sort_key
-    else:
-        def key(w):
-            return (w.degree(), w.letters)
+    if spec is None:
+        spec = OrderingSpec(poly.alphabet, poly.alphabet.symbols)
+    elif spec.alphabet != poly.alphabet:
+        raise AlphabetMismatchError("order over another alphabet than the polynomial")
+    terms, symbols = poly._terms, poly.alphabet.symbols
     parts = []
-    for word, coeff in sorted(poly.items(), key=lambda term: key(term[0]), reverse=True):
-        text = format_coefficient(coeff)
+    for letters in sorted(terms, key=spec.letters_key, reverse=True):
+        text = format_coefficient(terms[letters])
         negative = text.startswith("-")
         magnitude = text[1:] if negative else text
-        if word.is_one():
+        if not letters:
             body = magnitude
         elif magnitude == "1":
-            body = str(word)
+            body = _text(letters, symbols)
         else:
-            body = f"{magnitude}*{word}"
+            body = f"{magnitude}*{_text(letters, symbols)}"
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:

@@ -13,6 +13,19 @@ def load(name: str) -> Presentation:
     return parse_presentation((PRESENTATIONS / name).read_text())
 
 
+def load_over(name: str, modulus: int | None) -> Presentation:
+    """A shipped presentation over Q, read over F_modulus unless that is None."""
+    text = (PRESENTATIONS / name).read_text()
+    return parse_presentation(text if modulus is None else
+                              text.replace("field Q\n", f"field F {modulus}\n"))
+
+
+def as_reference(poly) -> frozenset:
+    """poly as bench/reference.py writes an element: (names, value) pairs."""
+    symbols = poly.alphabet.symbols
+    return frozenset((tuple(symbols[i] for i in w.letters), c.value) for w, c in poly.items())
+
+
 # Naive reference matcher: slices the word at every position.  ncrewrite
 # finds left sides only with rewrite._sites; tests compare it, and what is
 # built on it, with these.

@@ -19,7 +19,7 @@ from ncrewrite.ambiguity import (
 from ncrewrite.cli import parse_presentation
 from ncrewrite.coeff import FieldDescriptor, RATIONALS
 from ncrewrite.freealg import Alphabet, Polynomial, Word
-from ncrewrite.order import LT, OrderingSpec, deglex_compare
+from ncrewrite.order import OrderingSpec
 from ncrewrite.rewrite import BudgetExceededError, ReductionSystem, Rule, all_normal_forms
 from ncrewrite.syntax import parse_polynomial
 
@@ -256,7 +256,7 @@ def dense_resolvable_relative(amb, system, spec) -> bool:
         gen = Polynomial.monomial(rule.lhs, system.field.one()) - rule.rhs
         for b in system.alphabet.words_up_to_degree(slack):
             for c in system.alphabet.words_up_to_degree(slack - b.degree()):
-                if deglex_compare(b * rule.lhs * c, d, spec) == LT:
+                if spec.sort_key(b * rule.lhs * c) < spec.sort_key(d):
                     columns.append(gen.sandwich(b, c))
     diff = verdict.branch_left - verdict.branch_right
     return dense_solve(columns, diff, system.field) is not None
@@ -273,7 +273,7 @@ def _random_system(rng, field, coefficients):
     for _ in range(rng.randint(1, 4)):
         lhs = Word(alphabet, tuple(rng.randrange(n) for _ in range(rng.randint(1, 3))))
         below = [w for w in alphabet.words_up_to_degree(lhs.degree())
-                 if deglex_compare(w, lhs, spec) == LT]
+                 if spec.sort_key(w) < spec.sort_key(lhs)]
         rhs = Polynomial(field, alphabet, {
             w: field.coeff(rng.choice(coefficients))
             for w in rng.sample(below, min(len(below), rng.randint(0, 2)))})
@@ -413,7 +413,7 @@ def compatible_systems(draw):
         lhs = Word(alphabet, tuple(draw(st.lists(st.integers(0, n - 1),
                                                  min_size=1, max_size=3))))
         below = [w for w in alphabet.words_up_to_degree(len(lhs))
-                 if deglex_compare(w, lhs, spec) == LT]
+                 if spec.sort_key(w) < spec.sort_key(lhs)]
         words = draw(st.lists(st.sampled_from(below), max_size=2, unique=True))
         rules.append(Rule(lhs, Polynomial(field, alphabet, {
             w: field.coeff(draw(values)) for w in words})))

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,35 @@ def test_float_coefficient_rejected(field, value):
     # 2.5 would truncate to 2 in F_7, and 0.1 be 3602879701896397/2**55 over Q
     with pytest.raises(CoefficientError, match="is a float"):
         field.coeff(value)
+
+
+# each number with its element of Q and of F 7: every kind of value reaches
+# a field as Fraction(value), over F_p as numerator * denominator^-1 mod p
+NUMBERS = [
+    (3, Fraction(3), 3),
+    (-10, Fraction(-10), 4),
+    (Fraction(3, 4), Fraction(3, 4), 6),
+    (Fraction(-1, 2), Fraction(-1, 2), 3),
+    (Decimal("2.5"), Fraction(5, 2), 6),
+    (Decimal("-0.2"), Fraction(-1, 5), 4),
+    ("1/2", Fraction(1, 2), 4),
+    ("-3", Fraction(-3), 4),
+]
+
+
+@pytest.mark.parametrize("value,over_q,over_f7", NUMBERS, ids=repr)
+def test_every_number_reaches_a_field_one_way(value, over_q, over_f7):
+    assert RATIONALS.coeff(value) == Coefficient(RATIONALS, over_q)
+    assert type(RATIONALS.coeff(value).value) is Fraction
+    assert F7.coeff(value) == Coefficient(F7, over_f7)
+    assert type(F7.coeff(value).value) is int
+    # the same number as a float is still refused
+    with pytest.raises(CoefficientError, match="is a float"):
+        F7.coeff(float(over_q))
+
+
+@pytest.mark.parametrize("value", ["5/7", "-3/14", "1/49"])
+def test_denominator_divisible_by_p_raises_for_a_string_too(value):
+    with pytest.raises(ZeroInversionError):
+        F7.coeff(value)
+    assert RATIONALS.coeff(value) == Coefficient(RATIONALS, Fraction(value))

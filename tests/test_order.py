@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncrewrite.freealg import Alphabet, Word
-from ncrewrite.order import (
-    EQ,
-    GT,
-    LT,
-    OrderingError,
-    OrderingSpec,
-    check_compatibility,
-    deglex_compare,
-)
+from ncrewrite.order import OrderingError, OrderingSpec, check_compatibility
 
 XY = Alphabet(("x", "y"))
 SPEC = OrderingSpec(XY, ("x", "y"))
@@ -31,27 +23,26 @@ def test_precedence_must_be_permutation():
 
 
 def test_equal_degree_lex():
-    assert deglex_compare(w("xy"), w("yx"), SPEC) == LT
+    assert SPEC.sort_key(w("xy")) < SPEC.sort_key(w("yx"))
 
 
 def test_degree_dominates():
-    assert deglex_compare(w("xx"), w("y"), SPEC) == GT
+    assert SPEC.sort_key(w("xx")) > SPEC.sort_key(w("y"))
 
 
 def test_empty_word_is_minimum():
-    assert deglex_compare(w(""), w("x"), SPEC) == LT
+    assert SPEC.sort_key(w("")) < SPEC.sort_key(w("x"))
 
 
 def test_eq_iff_equal():
-    assert deglex_compare(w("xyx"), w("xyx"), SPEC) == EQ
+    assert SPEC.sort_key(w("xyx")) == SPEC.sort_key(w("xyx"))
 
 
 def test_weights_change_degree():
     # y weighs 2, so y > xx is a lex call at equal degree, and y > x by degree
-    assert deglex_compare(WEIGHTED.alphabet.word("y"),
-                          WEIGHTED.alphabet.word("x"), WEIGHTED) == GT
-    assert deglex_compare(WEIGHTED.alphabet.word("y"),
-                          WEIGHTED.alphabet.word("x", "x"), WEIGHTED) == GT
+    y, x = WEIGHTED.alphabet.word("y"), WEIGHTED.alphabet.word("x")
+    assert WEIGHTED.sort_key(y) > WEIGHTED.sort_key(x)
+    assert WEIGHTED.sort_key(y) > WEIGHTED.sort_key(x * x)
 
 
 words = st.lists(st.integers(0, 1), max_size=6).map(lambda ls: Word(XY, tuple(ls)))
@@ -59,19 +50,22 @@ words = st.lists(st.integers(0, 1), max_size=6).map(lambda ls: Word(XY, tuple(ls
 
 @given(words, words, words)
 def test_strict_total_order(u, v, t):
-    # trichotomy
-    assert sum([deglex_compare(u, v, SPEC) == r for r in (LT, EQ, GT)]) == 1
+    ku, kv = SPEC.sort_key(u), SPEC.sort_key(v)
+    # trichotomy, with equal keys only for equal words
+    assert [ku < kv, ku == kv, ku > kv].count(True) == 1
+    assert (ku == kv) == (u == v)
     # antisymmetry
-    assert deglex_compare(u, v, SPEC) == -deglex_compare(v, u, SPEC)
+    assert (ku < kv) == (kv > ku)
     # transitivity via the key being a total order key
-    if deglex_compare(u, v, SPEC) == LT and deglex_compare(v, t, SPEC) == LT:
-        assert deglex_compare(u, t, SPEC) == LT
+    kt = SPEC.sort_key(t)
+    if ku < kv and kv < kt:
+        assert ku < kt
 
 
 @given(words, words, words, words)
 def test_semigroup_law(u, v, a, b):
-    if deglex_compare(u, v, SPEC) == LT:
-        assert deglex_compare(a * u * b, a * v * b, SPEC) == LT
+    if SPEC.sort_key(u) < SPEC.sort_key(v):
+        assert SPEC.sort_key(a * u * b) < SPEC.sort_key(a * v * b)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
@@ -81,7 +75,7 @@ def test_dcc_finitely_many_below_degree(bound):
     below = list(XY.words_up_to_degree(bound))
     assert len(below) == 2 ** (bound + 1) - 1
     top = Word(XY, (1,) * bound)
-    smaller = [u for u in below if deglex_compare(u, top, SPEC) == LT]
+    smaller = [u for u in below if SPEC.sort_key(u) < SPEC.sort_key(top)]
     assert len(smaller) == len(set(smaller))
 
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,7 +16,10 @@ from ncrewrite.quotient import (
 from ncrewrite.rewrite import ReductionSystem
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import load
+from conftest import PRESENTATIONS, as_reference, load, load_over
+
+sys.path.insert(0, str(PRESENTATIONS.parent / "bench"))
+import reference  # noqa: E402  the benchmark's checks, written without ncrewrite
 
 
 def expr(text, p):
@@ -167,3 +172,26 @@ def test_basis_counts_are_the_pbw_counts(name, n, max_degree):
     counts = Counter(w.degree() for w in words)
     assert [counts[d] for d in range(max_degree + 1)] == \
         [math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("modulus", [None, 32003], ids=["Q", "F32003"])
+@pytest.mark.parametrize("name,lhss,reps,max_degree", [
+    ("sl2.pres", [("f", "e"), ("h", "e"), ("h", "f")], reference.sl2_reps, 3),
+    ("weyl.pres", [("y", "x")], lambda modulus: [reference.weyl_rep(modulus)], 4)],
+    ids=["sl2", "weyl"])
+def test_products_of_basis_words_act_like_the_products(name, lhss, reps, max_degree,
+                                                       modulus):
+    # the basis to max_degree is the PBW basis; every product of two of its
+    # words is irreducible and acts like the product of their actions
+    p = load_over(name, modulus)
+    ring, n = QuotientRing.build(p.system, p.ordering), len(p.alphabet.symbols)
+    words = ring.basis_words(max_degree)
+    ranks = {name: i for i, name in enumerate(p.ordering.precedence)}
+    assert reference.check_basis(
+        [tuple(p.alphabet.symbols[i] for i in w.letters) for w in words], max_degree,
+        lhss, ranks, lambda d: math.comb(d + n - 1, n - 1)) is None
+    reps = reps(modulus)
+    monomials = [Polynomial.monomial(w, p.field.one()) for w in words]
+    for a, b in itertools.product(monomials, repeat=2):
+        assert reference.check_product(as_reference(ring.multiply(a, b)), as_reference(a),
+                                       as_reference(b), lhss, reps) is None

@@ -127,6 +127,23 @@ def test_value_type_compares_and_hashes_by_its_fields(cls):
         f"{name}={arg!r}" for name, arg in zip(fields, args)) + ")"
 
 
+# the containers each value type stores immutable, given as a list or a set
+MUTABLE_ARGS = {
+    Alphabet: (["x", "y"], [1, 2]),
+    OrderingSpec: (Alphabet(("x", "y")), ["y", "x"]),
+    ReductionSystem: VALUE_ARGS[ReductionSystem][:2] + (list(VALUE_ARGS[ReductionSystem][2]),),
+    OrientedGraph: (set("ab"), {("a", "b")}),
+}
+
+
+@pytest.mark.parametrize("cls", MUTABLE_ARGS, ids=lambda cls: cls.__name__)
+def test_value_built_from_lists_equals_and_hashes_like_from_tuples(cls):
+    value, frozen = cls(*MUTABLE_ARGS[cls]), cls(*VALUE_ARGS[cls])
+    assert value == frozen and hash(value) == hash(frozen)
+    assert tuple(getattr(value, name) for name in VALUE_FIELDS[cls].split()) == VALUE_ARGS[cls]
+    assert hash(Alphabet(["x", "y"])) == hash(Alphabet(("x", "y")))
+
+
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
 def test_value_type_refuses_assignment_and_deletion(cls):
     value = cls(*VALUE_ARGS[cls])

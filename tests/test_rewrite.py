@@ -26,7 +26,7 @@ from ncrewrite.rewrite import (
 from ncrewrite.order import OrderingSpec
 from ncrewrite.syntax import parse_polynomial
 
-from conftest import PRESENTATIONS, occurrences_of
+from conftest import PRESENTATIONS, as_reference, load_over, occurrences_of
 
 sys.path.insert(0, str(PRESENTATIONS.parent / "bench"))
 import reference  # noqa: E402  the benchmark's checks, written without ncrewrite
@@ -384,3 +384,24 @@ def test_long_weyl_word_acts_like_its_normal_form(weyl, k):
     word = frozenset([(("y",) + ("x",) * k, Fraction(1))])
     assert reference.check_normal_form(out, [word], [("y", "x")],
                                        [reference.weyl_rep()]) is None
+
+
+@pytest.mark.parametrize("modulus", [None, 32003], ids=["Q", "F32003"])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_sl2_word_acts_like_its_normal_form(n, modulus):
+    # h^n*f^n*e^n and its normal form act alike on sl2's 2- and 3-dim modules
+    p = load_over("sl2.pres", modulus)
+    value = normal_form(expr(f"h^{n}*f^{n}*e^{n}", p), p.system, p.ordering).value
+    word = frozenset([(("h",) * n + ("f",) * n + ("e",) * n, reference.Scalars(modulus)(1))])
+    assert reference.check_normal_form(as_reference(value), [word],
+                                       [("f", "e"), ("h", "e"), ("h", "f")],
+                                       reference.sl2_reps(modulus)) is None
+
+
+def test_long_weyl_word_over_a_prime_field():
+    k, p = 1200, load_over("weyl.pres", 32003)
+    value = normal_form(expr(f"y*x^{k}", p), p.system, p.ordering).value
+    assert value == expr(f"x^{k}*y + {k}*x^{k - 1}", p)
+    word = frozenset([(("y",) + ("x",) * k, 1)])
+    assert reference.check_normal_form(as_reference(value), [word], [("y", "x")],
+                                       [reference.weyl_rep(32003)]) is None

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncrewrite.coeff import RATIONALS, FieldDescriptor
-from ncrewrite.freealg import Alphabet, Polynomial, Word
-from ncrewrite.syntax import ExpressionError, parse_polynomial
+from ncrewrite.freealg import Alphabet, AlphabetMismatchError, Polynomial, Word
+from ncrewrite.order import OrderingSpec
+from ncrewrite.syntax import ExpressionError, format_polynomial, parse_polynomial
 
 from conftest import add, mul, neg
 
@@ -95,3 +96,47 @@ def test_error_column(text, field, column):
         parse_polynomial(text, field, ALPHABET)
     assert err.value.column == column
     assert str(err.value).startswith(f"column {column}:")
+
+
+@st.composite
+def _weighted_polynomials(draw):
+    """A polynomial over 2-3 weighted letters, named in any order, over Q or F 7."""
+    field = draw(FIELDS)
+    n = draw(st.integers(2, 3))
+    names = draw(st.permutations(["x", "y", "zz"]))[:n]
+    alphabet = Alphabet(tuple(names), tuple(draw(st.lists(st.integers(1, 3),
+                                                          min_size=n, max_size=n))))
+    values = (st.fractions(max_denominator=12).filter(bool) if field.is_rationals
+              else st.integers(1, 6))
+    words = st.lists(st.integers(0, n - 1), max_size=4).map(
+        lambda letters: Word(alphabet, tuple(letters)))
+    terms = draw(st.dictionaries(words, values, max_size=6))
+    return Polynomial(field, alphabet, {w: field.coeff(c) for w, c in terms.items()})
+
+
+def _reference_rendering(poly):
+    """Largest term first by (weighted degree, letter indices), as the
+    rendering with no order was first defined."""
+    text = ""
+    for word, coeff in sorted(poly.items(), reverse=True,
+                              key=lambda term: (term[0].degree(), term[0].letters)):
+        negative = coeff.value < 0
+        magnitude = str(-coeff.value if negative else coeff.value)
+        name = "*".join(poly.alphabet.symbols[i] for i in word.letters)
+        body = magnitude if not name else name if magnitude == "1" else f"{magnitude}*{name}"
+        text += (" - " if negative else " + ") if text else ("-" if negative else "")
+        text += body
+    return text or "0"
+
+
+@settings(max_examples=200)
+@given(_weighted_polynomials())
+def test_default_rendering_sorts_by_degree_then_letters(poly):
+    assert str(poly) == format_polynomial(poly) == _reference_rendering(poly)
+
+
+def test_rendering_refuses_an_order_over_another_alphabet():
+    poly = parse_polynomial("x*y + 2", RATIONALS, ALPHABET)
+    with pytest.raises(AlphabetMismatchError, match="order over another alphabet"):
+        format_polynomial(poly, OrderingSpec(Alphabet(("x", "y")), ("x", "y")))
+    assert format_polynomial(poly, OrderingSpec(ALPHABET, ("xy", "y", "x"))) == "x*y + 2"
